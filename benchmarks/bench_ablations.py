@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the reproduction's main design choices.
 
 1. **Extended rule set** (carry-free add propagation + eval-vs-baseline
    masking) — sound extensions the paper leaves on the table; how much

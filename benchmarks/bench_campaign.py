@@ -4,8 +4,8 @@ predecessors, across the six evaluation kernels and two plan families.
 Four engine generations are timed on identical plans, with identical
 aggregates asserted on every row:
 
-* ``serial``        — ``run_campaign`` on the threaded core, from
-                      cycle 0, no knobs (the PR 2 state);
+* ``serial``        — ``CampaignEngine.run()`` on the threaded core,
+                      from cycle 0, default settings (the PR 2 state);
 * ``engine``        — threaded core + checkpoint/resume + golden
                       reconvergence splicing, serial (the PR 1+2
                       engine — the comparison baseline);
@@ -49,7 +49,8 @@ import tracemalloc
 from repro import obs
 from repro.bec.analysis import run_bec
 from repro.bench.programs import compile_benchmark, get_benchmark
-from repro.fi.campaign import plan_bec, plan_exhaustive, run_campaign
+from repro.fi.campaign import plan_bec, plan_exhaustive
+from repro.fi.config import EngineConfig
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
 
@@ -128,16 +129,15 @@ def bench_row(name, family, mode):
     plan = sliced(full_plan, target)
     interval = interval_for(golden)
 
-    base, serial_s = timed(lambda: run_campaign(
-        threaded, plan, regs=regs, golden=golden))
+    base, serial_s = timed(lambda: CampaignEngine(
+        threaded, plan, regs=regs, golden=golden).run())
     engine = CampaignEngine(threaded, plan, regs=regs, golden=golden)
-    engined, engine_s = timed(lambda: engine.run(
-        checkpoint_interval=interval))
+    checkpointed = EngineConfig(checkpoint_interval=interval)
+    engined, engine_s = timed(lambda: engine.run(checkpointed))
     vector = CampaignEngine(batched, plan, regs=regs, golden=golden)
-    batchd, batched_s = timed(lambda: vector.run(
-        checkpoint_interval=interval))
-    pruned, batched_prune_s = timed(lambda: vector.run(
-        checkpoint_interval=interval, prune="liveness"))
+    batchd, batched_s = timed(lambda: vector.run(checkpointed))
+    pruned, batched_prune_s = timed(lambda: vector.run(EngineConfig(
+        checkpoint_interval=interval, prune="liveness")))
 
     for other in (engined, batchd, pruned):
         assert other.effect_counts() == base.effect_counts(), name
@@ -148,8 +148,8 @@ def bench_row(name, family, mode):
             == [(effect, signature) for _, effect, signature
                 in base.runs], name
 
-    peak = traced_peak(lambda: vector.run(
-        checkpoint_interval=interval, chunk_size=PEAK_CHUNK_SIZE))
+    peak = traced_peak(lambda: vector.run(EngineConfig(
+        checkpoint_interval=interval, chunk_size=PEAK_CHUNK_SIZE)))
 
     best = min(batched_s, batched_prune_s)
     return {
@@ -186,17 +186,16 @@ def obs_overhead_smoke(name="bitcount", repeats=5):
                   TARGET_RUNS[("exhaustive", "smoke")])
     interval = interval_for(golden)
     engine = CampaignEngine(threaded, plan, regs=regs, golden=golden)
-    engine.run(checkpoint_interval=interval)        # warm-up
+    checkpointed = EngineConfig(checkpoint_interval=interval)
+    engine.run(checkpointed)        # warm-up
     tracer = obs.tracer()
     disabled_s = enabled_s = math.inf
     for _ in range(repeats):
-        _, elapsed = timed(lambda: engine.run(
-            checkpoint_interval=interval))
+        _, elapsed = timed(lambda: engine.run(checkpointed))
         disabled_s = min(disabled_s, elapsed)
         tracer.start()
         try:
-            _, elapsed = timed(lambda: engine.run(
-                checkpoint_interval=interval))
+            _, elapsed = timed(lambda: engine.run(checkpointed))
         finally:
             tracer.stop()
         enabled_s = min(enabled_s, elapsed)

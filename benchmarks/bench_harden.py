@@ -46,6 +46,7 @@ import json
 import time
 
 from repro.experiments.common import benchmark_run
+from repro.fi.config import EngineConfig
 from repro.harden.evaluate import (ladder_comparison, run_variant,
                                    strided_plan)
 
@@ -69,7 +70,8 @@ def bench_kernel(name, mode, workers):
         run.function, run.golden, regs=run.regs,
         memory_image=run.program.memory_image, bec=run.bec,
         budgets=BUDGET_LADDER[mode], target_runs=TARGET_RUNS[mode],
-        workers=workers, coverage_target=GATE_FRONTIER_COVERAGE)
+        config=EngineConfig(workers=workers),
+        coverage_target=GATE_FRONTIER_COVERAGE)
     row["program"] = name
     for entry in row["bec"]:
         assert entry["overhead"] <= entry["budget"] + GATE_BUDGET_SLACK, (
@@ -85,13 +87,15 @@ def bench_kernel(name, mode, workers):
                              budget=BUDGET_LADDER[mode][0],
                              regs=run.regs,
                              memory_image=run.program.memory_image,
-                             bec=run.bec, workers=1)
+                             bec=run.bec)
         parallel = run_variant(run.function, "bec", plan, run.golden,
                                budget=BUDGET_LADDER[mode][0],
                                regs=run.regs,
                                memory_image=run.program.memory_image,
-                               bec=run.bec, workers=4,
-                               checkpoint_interval=interval)
+                               bec=run.bec,
+                               config=EngineConfig(
+                                   workers=4,
+                                   checkpoint_interval=interval))
         assert serial.campaign.effect_counts() \
             == parallel.campaign.effect_counts(), name
         assert [record[1:] for record in serial.campaign.runs] \

@@ -33,7 +33,8 @@ import math
 import time
 
 from repro.bench.programs import compile_benchmark, get_benchmark
-from repro.fi.campaign import plan_exhaustive, run_campaign
+from repro.fi.campaign import plan_exhaustive
+from repro.fi.config import EngineConfig
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
 
@@ -114,12 +115,12 @@ def bench_campaign(mode):
     interval = max(1, golden.cycles // 32)
 
     start = time.perf_counter()
-    base = run_campaign(reference, plan, regs=regs, golden=golden)
+    base = CampaignEngine(reference, plan, regs=regs, golden=golden).run()
     baseline_s = time.perf_counter() - start
 
     engine = CampaignEngine(fast, plan, regs=regs, golden=golden)
     start = time.perf_counter()
-    stacked = engine.run(workers=4, checkpoint_interval=interval)
+    stacked = engine.run(EngineConfig(workers=4, checkpoint_interval=interval))
     stacked_s = time.perf_counter() - start
 
     assert stacked.effect_counts() == base.effect_counts()

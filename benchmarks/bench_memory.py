@@ -9,9 +9,9 @@ campaign keep every distinguishable outcome?
 import pytest
 
 from repro.fi.campaign import EFFECT_MASKED
+from repro.fi.engine import CampaignEngine
 from repro.fi.memory import (memory_fault_accounting, plan_memory_bec,
-                             plan_memory_inject_on_read,
-                             run_memory_campaign)
+                             plan_memory_inject_on_read)
 
 #: Benchmarks with a meaningful memory fault space (table lookups).
 MEMORY_BENCHMARKS = ("CRC32", "AES", "dijkstra")
@@ -53,10 +53,10 @@ def test_memory_campaign_pruning_keeps_outcomes(benchmark, prepared):
         in covered]
 
     def campaigns():
-        full = run_memory_campaign(run.machine, full_plan, regs=run.regs,
-                                   golden=run.golden)
-        pruned = run_memory_campaign(run.machine, pruned_plan,
-                                     regs=run.regs, golden=run.golden)
+        full = CampaignEngine(run.machine, full_plan, regs=run.regs,
+                              golden=run.golden).run()
+        pruned = CampaignEngine(run.machine, pruned_plan, regs=run.regs,
+                                golden=run.golden).run()
         return full, pruned
 
     full, pruned = benchmark.pedantic(campaigns, rounds=1, iterations=1)

@@ -11,7 +11,8 @@ with trace length.
 
 import pytest
 
-from repro.fi.campaign import plan_exhaustive, run_campaign
+from repro.fi.campaign import plan_exhaustive
+from repro.fi.engine import CampaignEngine
 from repro.fi.trace import Trace
 from repro.experiments.table1 import PAPER_TABLE1, TABLE1_BENCHMARKS
 
@@ -28,8 +29,8 @@ def test_table1_row(benchmark, prepared, name):
     plan = plan_exhaustive(run.function, prefix, registers=registers)
 
     def campaign():
-        return run_campaign(run.machine, plan, regs=run.regs,
-                            golden=run.golden)
+        return CampaignEngine(run.machine, plan, regs=run.regs,
+                              golden=run.golden).run()
 
     result = benchmark.pedantic(campaign, rounds=1, iterations=1)
     cycle_scale = run.golden.cycles / min(CYCLE_LIMIT, run.golden.cycles)

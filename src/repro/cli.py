@@ -55,6 +55,7 @@ stdout).
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -64,11 +65,12 @@ from repro.bec.intra import RuleSet
 from repro.errors import ReproError
 from repro.fi.accounting import fault_injection_accounting
 from repro.fi.campaign import (plan_bec, plan_exhaustive,
-                               plan_inject_on_read, run_campaign)
+                               plan_inject_on_read)
+from repro.fi.config import EngineConfig, EngineConfigError
+from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
 from repro.fi.memory import (memory_fault_accounting, plan_memory_bec,
-                             plan_memory_inject_on_read,
-                             run_memory_campaign)
+                             plan_memory_inject_on_read)
 from repro.fi.sampling import estimate_avf
 from repro.fi.validate import validate_bec
 from repro.ir.parser import parse_function
@@ -167,15 +169,68 @@ def cmd_analyze(options):
     return 0
 
 
+#: Help text of the engine flags, by :class:`EngineConfig` field (a
+#: flag is the field's name, dashed, bar ``--cell-timeout`` and the
+#: renames a command asks for).
+ENGINE_HELP = {
+    "workers": "engine worker processes per campaign (results stay "
+               "bit-identical to serial)",
+    "checkpoint_interval": "resume injected runs from golden-run "
+                           "snapshots taken every N cycles (0 = off; the "
+                           "batched core auto-enables checkpointing)",
+    "prune": "pre-classify injections provably overwritten-before-read "
+             "on the golden path as masked, without simulation",
+    "batch_lanes": "lockstep lane count for --core batched",
+    "chunk_size": "records per streamed chunk — bounds the campaign's "
+                  "resident per-run memory",
+    "max_retries": "re-attempts per failing cell before it is recorded "
+                   "as FAILED",
+    "max_wall_seconds": "per-cell wall-clock deadline: a hung cell fails "
+                        "(and retries / reports) instead of blocking",
+}
+
+
+def add_engine_arguments(sub, names, from_spec=(), flags=None):
+    """Declare the engine flags of the :class:`EngineConfig` fields
+    *names* on *sub*.  Unset flags stay ``None``, so each command keeps
+    the config it starts from: the spec's for the fields in
+    *from_spec*, else the :class:`EngineConfig` default.  *flags*
+    renames a flag."""
+    renames = {"max_wall_seconds": "--cell-timeout", **(flags or {})}
+    flags = {name: renames.get(name, "--" + name.replace("_", "-"))
+             for name in names}
+    sub.set_defaults(engine_flags=flags)
+    for setting in dataclasses.fields(EngineConfig):
+        name = setting.name
+        if name not in flags:
+            continue
+        kind = setting.metadata["kind"]
+        typed = {"choices": kind} if isinstance(kind, tuple) else \
+            {"type": kind, "metavar": "N" if kind is int else "SECONDS"}
+        default = f"the spec's engine.{name}" if name in from_spec \
+            else setting.default
+        sub.add_argument(flags[name], dest=f"engine_{name}", default=None,
+                         help=f"{ENGINE_HELP[name]} (default: {default})",
+                         **typed)
+
+
+def engine_overrides(options):
+    """The engine flags given on the command line, validated, as
+    :class:`EngineConfig` field -> value; a bad value exits with a
+    message naming its flag."""
+    overrides = {name: getattr(options, f"engine_{name}")
+                 for name in options.engine_flags
+                 if getattr(options, f"engine_{name}") is not None}
+    try:
+        EngineConfig(**overrides)
+    except EngineConfigError as error:
+        raise SystemExit(f"{options.engine_flags[error.field]} "
+                         f"{error.requirement}")
+    return overrides
+
+
 def cmd_campaign(options):
-    if options.workers < 1:
-        raise SystemExit("--workers must be >= 1")
-    if options.checkpoint_interval < 0:
-        raise SystemExit("--checkpoint-interval must be >= 0 (0 = off)")
-    if options.batch_lanes is not None and options.batch_lanes < 1:
-        raise SystemExit("--batch-lanes must be >= 1")
-    if options.chunk_size is not None and options.chunk_size < 1:
-        raise SystemExit("--chunk-size must be >= 1")
+    config = EngineConfig(**engine_overrides(options))
     program = load_program(options.file, optimize=_opt_level(options))
     machine, golden = _golden(program, options.args, core=options.core)
     if options.harden != "none":
@@ -219,42 +274,33 @@ def cmd_campaign(options):
                 else:
                     print(f"  {done}/{total} runs",
                           file=sys.stderr, flush=True)
-        prune = None if options.prune == "none" else options.prune
+        regs = _initial_regs(program, options.args)
         if options.store:
             from repro.store import CachingRunner, ResultStore
 
             with ResultStore(options.store) as store:
                 runner = CachingRunner(store)
                 result = runner.run(
-                    machine, slice_,
-                    regs=_initial_regs(program, options.args),
-                    golden=golden, workers=options.workers,
-                    checkpoint_interval=options.checkpoint_interval,
-                    progress=progress, prune=prune,
-                    batch_lanes=options.batch_lanes,
-                    harden=options.harden, budget=options.budget,
-                    chunk_size=options.chunk_size)
+                    machine, slice_, regs=regs, golden=golden,
+                    config=config, harden=options.harden,
+                    budget=options.budget, progress=progress)
             if result.cached:
                 print(f"store hit: replayed archived aggregates from "
                       f"{options.store}")
         else:
-            result = run_campaign(machine, slice_,
-                                  regs=_initial_regs(program, options.args),
-                                  golden=golden, workers=options.workers,
-                                  checkpoint_interval=options.checkpoint_interval,
-                                  progress=progress, prune=prune,
-                                  batch_lanes=options.batch_lanes,
-                                  chunk_size=options.chunk_size)
+            result = CampaignEngine(machine, slice_, regs=regs,
+                                    golden=golden).run(
+                                        config, progress=progress)
         if options.progress and sys.stderr.isatty():
             print(file=sys.stderr)    # terminate the rewritten line
         core_label = options.core
         if options.core == "batched" and not result.vectorized:
             core_label = "batched (scalar fallback: NumPy unavailable " \
                          "or setup not batchable)"
-        mode = (f"core={core_label}, workers={options.workers}, "
-                f"checkpoint-interval={options.checkpoint_interval or 'off'}")
-        if prune:
-            mode += (f", prune={prune} "
+        mode = (f"core={core_label}, workers={config.workers}, "
+                f"checkpoint-interval={config.checkpoint_interval or 'off'}")
+        if config.prune != "none":
+            mode += (f", prune={config.prune} "
                      f"({result.pruned_runs} runs pre-classified)")
         print(f"executed {len(slice_)} runs ({mode}) in "
               f"{result.wall_time:.2f}s: {result.effect_counts()}")
@@ -339,8 +385,7 @@ def cmd_harden(options):
 
 
 def cmd_sample(options):
-    if options.checkpoint_interval < 0:
-        raise SystemExit("--checkpoint-interval must be >= 0 (0 = off)")
+    config = EngineConfig(**engine_overrides(options))
     program = load_program(options.file, optimize=_opt_level(options))
     machine, golden = _golden(program, options.args, core=options.core)
     bec = run_bec(program.function) if options.bec else None
@@ -348,8 +393,7 @@ def cmd_sample(options):
                             options.budget, seed=options.seed,
                             regs=_initial_regs(program, options.args),
                             golden=golden, bec=bec,
-                            confidence=options.confidence,
-                            checkpoint_interval=options.checkpoint_interval)
+                            confidence=options.confidence, config=config)
     mode = "BEC-collapsed" if options.bec else "uniform"
     print(f"{mode} sampling: {estimate.trials} samples over "
           f"{estimate.population} fault sites")
@@ -375,8 +419,8 @@ def cmd_memory(options):
         full = plan_memory_inject_on_read(program.function, golden)
         pruned = plan_memory_bec(program.function, golden, bec)
         regs = _initial_regs(program, options.args)
-        result = run_memory_campaign(machine, pruned, regs=regs,
-                                     golden=golden)
+        result = CampaignEngine(machine, pruned, regs=regs,
+                                golden=golden).run()
         print(f"pruned campaign: {len(pruned)}/{len(full)} runs, "
               f"effects {result.effect_counts()}")
     return 0
@@ -418,12 +462,12 @@ def cmd_fuzz(options):
 def cmd_sweep(options):
     from repro.store import ResultStore, load_spec, run_sweep
 
-    if options.workers is not None and options.workers < 1:
-        raise SystemExit("--workers must be >= 1")
+    overrides = engine_overrides(options)
     try:
         spec = load_spec(options.spec)
     except (OSError, ValueError) as error:
         raise SystemExit(f"cannot load sweep spec: {error}")
+    config = dataclasses.replace(spec.engine, **overrides)
     progress = None
     run_progress = None
     if options.progress:
@@ -474,12 +518,10 @@ def cmd_sweep(options):
                   file=sys.stderr)
     with ResultStore(options.store) as store:
         try:
-            report = run_sweep(spec, store, workers=options.workers,
+            report = run_sweep(spec, store, config=config,
                                force=options.force, progress=progress,
                                run_progress=run_progress,
-                               max_retries=options.max_retries,
-                               continue_on_error=True,
-                               max_wall_seconds=options.cell_timeout)
+                               continue_on_error=True)
         except (KeyError, OSError, ValueError, RuntimeError,
                 ReproError) as error:
             # Unknown registry kernel, unreadable/uncompilable kernel
@@ -583,8 +625,7 @@ def cmd_dist_work(options):
         policy = policy_from_specs(options.chaos)
     except ValueError as error:
         raise SystemExit(str(error))
-    if options.workers < 1:
-        raise SystemExit("--workers must be >= 1")
+    overrides = engine_overrides(options)
     lease_seconds = options.lease_seconds \
         if options.lease_seconds is not None else DEFAULT_LEASE_SECONDS
     max_idle = options.max_idle \
@@ -594,10 +635,9 @@ def cmd_dist_work(options):
         worker = DistWorker(
             queue, store, worker_id=options.worker_id,
             lease_seconds=lease_seconds,
-            secret=options.secret, engine_workers=options.workers,
+            secret=options.secret, overrides=overrides,
             max_cells=options.max_cells,
-            max_idle_seconds=max_idle, chaos=policy,
-            cell_timeout=options.cell_timeout)
+            max_idle_seconds=max_idle, chaos=policy)
         stats = worker.run()
     print(f"worker {worker.worker_id}: {stats['done']} cells done, "
           f"{stats['superseded']} superseded, {stats['failed']} failed, "
@@ -651,14 +691,13 @@ def cmd_serve(options):
                                ServiceConfig, keys_from_env)
 
     keys = list(options.api_key or []) + keys_from_env()
+    overrides = engine_overrides(options)
     try:
         service = CampaignService(ServiceConfig(
             options.queue, options.store, host=options.host,
             port=options.port, api_keys=keys, dev=options.dev,
-            workers=options.workers,
-            engine_workers=options.engine_workers,
-            secret=options.secret,
-            cell_timeout=options.cell_timeout))
+            workers=options.workers, overrides=overrides,
+            secret=options.secret))
     except AuthConfigError as error:
         raise SystemExit(f"serve: {error}")
     port = service.start()
@@ -883,31 +922,8 @@ def build_parser():
                           "faults with NumPy lockstep lanes)")
     sub.add_argument("--execute", type=int, default=0,
                      help="execute the first N planned runs")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="worker processes for campaign execution "
-                          "(results stay bit-identical to serial)")
-    sub.add_argument("--checkpoint-interval", type=int, default=0,
-                     metavar="CYCLES",
-                     help="resume injected runs from golden-run "
-                          "snapshots taken every CYCLES instructions "
-                          "(0 = off; the batched core auto-enables "
-                          "checkpointing)")
-    sub.add_argument("--prune", choices=("none", "liveness"),
-                     default="none",
-                     help="pre-classify injections provably overwritten"
-                          "-before-read on the golden path as masked, "
-                          "without simulation (aggregates stay "
-                          "bit-identical)")
-    sub.add_argument("--batch-lanes", type=int, default=None,
-                     metavar="N",
-                     help="lockstep lane count for --core batched "
-                          "(default 256)")
-    sub.add_argument("--chunk-size", type=int, default=None,
-                     metavar="N",
-                     help="records per streamed chunk — bounds the "
-                          "campaign's resident per-run memory "
-                          "(default 2048; aggregates stay "
-                          "bit-identical)")
+    add_engine_arguments(sub, ("workers", "checkpoint_interval", "prune",
+                               "batch_lanes", "chunk_size"))
     sub.add_argument("--progress", action="store_true",
                      help="print a progress line to stderr")
     sub.add_argument("--store", metavar="DB", default=None,
@@ -960,10 +976,7 @@ def build_parser():
                      help="execution core; 'batched' classifies all "
                           "unique sampled sites in one lockstep pass "
                           "(needs --checkpoint-interval)")
-    sub.add_argument("--checkpoint-interval", type=int, default=0,
-                     metavar="CYCLES",
-                     help="resume sampled runs from golden-run "
-                          "snapshots (0 = off)")
+    add_engine_arguments(sub, ("checkpoint_interval",))
     add_obs_arguments(sub)
     sub.add_argument("--args", nargs="*", type=lambda v: int(v, 0),
                      default=[])
@@ -993,9 +1006,6 @@ def build_parser():
                      default=".repro-store.sqlite",
                      help="content-addressed result store "
                           "(default: .repro-store.sqlite)")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="worker processes for cache misses "
-                          "(default: the spec's engine.workers)")
     sub.add_argument("--force", action="store_true",
                      help="re-execute every cell even on a warm store "
                           "(results are re-archived)")
@@ -1006,20 +1016,8 @@ def build_parser():
                      help="write the consolidated report as markdown")
     sub.add_argument("--progress", action="store_true",
                      help="print one line per finished cell to stderr")
-    sub.add_argument("--max-retries", type=int, default=None,
-                     metavar="N",
-                     help="re-attempts per failing cell before it is "
-                          "recorded as FAILED (default: the spec's "
-                          "engine.max_retries, else 0); any cell that "
-                          "ultimately fails makes the sweep exit "
-                          "nonzero after finishing the rest")
-    sub.add_argument("--cell-timeout", type=float, default=None,
-                     metavar="SECONDS",
-                     help="per-cell wall-clock deadline: a hung cell "
-                          "fails (and retries / reports like any other "
-                          "cell failure) instead of blocking the sweep "
-                          "(default: the spec's engine.max_wall_seconds"
-                          ", else none)")
+    spec_fields = ("workers", "max_retries", "max_wall_seconds")
+    add_engine_arguments(sub, spec_fields, from_spec=spec_fields)
     add_obs_arguments(sub)
 
     store_cmd = commands.add_parser(
@@ -1086,12 +1084,8 @@ def build_parser():
                      help="give up after S seconds without a claim "
                           "(default 120; a drained queue exits "
                           "immediately)")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="engine worker processes per cell")
-    sub.add_argument("--cell-timeout", type=float, default=None,
-                     metavar="SECONDS",
-                     help="per-cell wall-clock deadline (default: the "
-                          "spec's engine.max_wall_seconds)")
+    add_engine_arguments(sub, ("workers", "max_wall_seconds"),
+                         from_spec=("max_wall_seconds",))
     sub.add_argument("--secret", default=None,
                      help="envelope signing secret (default: "
                           "$REPRO_DIST_SECRET, else a dev constant)")
@@ -1148,14 +1142,9 @@ def build_parser():
                      help="in-process drain workers (default 1; 0 "
                           "relies on external `repro dist work` "
                           "hosts)")
-    sub.add_argument("--engine-workers", type=int, default=1,
-                     metavar="N",
-                     help="engine worker processes per cell "
-                          "(default 1)")
-    sub.add_argument("--cell-timeout", type=float, default=None,
-                     metavar="SECONDS",
-                     help="per-cell wall-clock deadline (default: the "
-                          "spec's engine.max_wall_seconds)")
+    add_engine_arguments(sub, ("workers", "max_wall_seconds"),
+                         from_spec=("max_wall_seconds",),
+                         flags={"workers": "--engine-workers"})
     sub.add_argument("--secret", default=None,
                      help="envelope/webhook signing secret (default: "
                           "$REPRO_DIST_SECRET, else a dev constant)")

@@ -36,6 +36,7 @@ host-level protocol fault-injectable from the CLI
 (``repro dist work --chaos kill_cell=1 ...``).
 """
 
+import dataclasses
 import os
 import platform
 import time
@@ -44,7 +45,7 @@ from repro import obs
 from repro.fi.chaos import ChaosPolicy
 from repro.fi.deadline import wall_clock_deadline
 from repro.fi.sink import RunSink
-from repro.store.db import DEFAULT_CHUNK_SIZE, encode_chunk
+from repro.store.db import encode_chunk
 from repro.store.sweep import SweepRunner
 
 from repro.dist import envelope as envelope_module
@@ -59,6 +60,11 @@ POLL_SECONDS = 0.2
 #: Give up after this long without claiming anything (safety valve for
 #: orphaned workers; the queue being drained exits immediately).
 DEFAULT_MAX_IDLE_SECONDS = 120.0
+
+#: Engine settings a host imposes over every spec it drains unless told
+#: otherwise: one engine process per cell (a deployment scales out by
+#: running more workers, not by forking each one wider).
+HOST_OVERRIDES = {"workers": 1}
 
 
 class ChunkCaptureSink(RunSink):
@@ -128,23 +134,27 @@ def policy_from_specs(specs):
 
 
 class DistWorker:
-    """One worker process draining one queue into one store."""
+    """One worker process draining one queue into one store.
+
+    *overrides* maps :class:`repro.fi.config.EngineConfig` field names
+    to the values this host imposes over each spec's ``[engine]`` table,
+    on top of :data:`HOST_OVERRIDES`.
+    """
 
     def __init__(self, queue, store, worker_id=None,
                  lease_seconds=DEFAULT_LEASE_SECONDS, secret=None,
-                 engine_workers=1, max_cells=None,
+                 overrides=None, max_cells=None,
                  max_idle_seconds=DEFAULT_MAX_IDLE_SECONDS, chaos=None,
-                 cell_timeout=None, events=None):
+                 events=None):
         self.queue = queue
         self.store = store
         self.worker_id = worker_id or default_worker_id()
         self.lease_seconds = lease_seconds
         self.secret = secret
-        self.engine_workers = engine_workers
+        self.overrides = {**HOST_OVERRIDES, **(overrides or {})}
         self.max_cells = max_cells
         self.max_idle_seconds = max_idle_seconds
         self.chaos = chaos
-        self.cell_timeout = cell_timeout
         #: Optional ``callable(kind, **fields)`` observing this
         #: worker's cell lifecycle (``cell_claimed`` /
         #: ``cell_progress`` / ``cell_done`` / ``cell_superseded`` /
@@ -176,7 +186,8 @@ class DistWorker:
         if digest not in self._sweep_runners:
             spec = self.queue.load_spec(digest)
             self._sweep_runners[digest] = SweepRunner(
-                spec, self.store, workers=self.engine_workers)
+                spec, self.store,
+                config=dataclasses.replace(spec.engine, **self.overrides))
         return self._sweep_runners[digest]
 
     # -- one cell ----------------------------------------------------------
@@ -184,7 +195,7 @@ class DistWorker:
     def _execute(self, lease, ordinal):
         """Run one leased cell and return the commit outcome dict."""
         runner = self._sweep_runner(lease.spec_digest)
-        spec = runner.spec
+        config = runner.config
         machine, plan, variant = runner.cell_setup(lease.cell)
 
         forfeited = self._fire("dist.expire_lease", ordinal=ordinal)
@@ -213,18 +224,13 @@ class DistWorker:
                                      worker=self.worker_id)
 
         capture = ChunkCaptureSink()
-        deadline = self.cell_timeout
-        if deadline is None:
-            deadline = getattr(spec, "max_wall_seconds", None)
-        with wall_clock_deadline(deadline, what=f"cell {lease.cell_id}"):
+        with wall_clock_deadline(config.max_wall_seconds,
+                                 what=f"cell {lease.cell_id}"):
             result = runner.runner.run(
                 machine, plan, regs=variant["regs"],
-                golden=variant["golden"], workers=self.engine_workers,
-                checkpoint_interval=spec.checkpoint_interval or None,
-                prune=spec.prune, batch_lanes=spec.batch_lanes,
+                golden=variant["golden"], config=config,
                 harden=lease.cell.harden, budget=lease.cell.budget,
-                progress=heartbeat, chunk_size=spec.chunk_size,
-                sink=capture, commit=False)
+                progress=heartbeat, sink=capture, commit=False)
 
         # The kill-mid-cell fault: computed, not yet committed — the
         # worst crash point the reclaim path must absorb.
@@ -243,7 +249,7 @@ class DistWorker:
             "vectorized": result.vectorized,
             "wall_time": result.wall_time,
             "chunk_size": (capture.meta or {}).get(
-                "chunk_size", spec.chunk_size or DEFAULT_CHUNK_SIZE),
+                "chunk_size", config.chunk_size),
         }
         from repro.store.db import chunk_digest
 

@@ -5,7 +5,7 @@ its golden trace and the BEC analysis; results are cached per process
 because several experiments share them.
 
 Campaign-executing experiments go through :meth:`BenchmarkRun.run_plan`
-so the engine knobs apply uniformly; ``REPRO_WORKERS``,
+so one :func:`engine_config` applies uniformly; ``REPRO_WORKERS``,
 ``REPRO_CHECKPOINT_INTERVAL`` and ``REPRO_CORE`` set process-wide
 defaults (e.g. ``REPRO_CORE=batched REPRO_CHECKPOINT_INTERVAL=64`` to
 speed up ``python -m repro.experiments`` with the lockstep core)
@@ -21,11 +21,13 @@ replay the archived per-run records, including the original execution's
 wall time, so even the time columns reproduce).
 """
 
+import functools
 import os
 
 from repro.bench.programs import (BENCHMARK_ORDER, compile_benchmark,
                                   get_benchmark)
 from repro.bec.analysis import run_bec
+from repro.fi.config import EngineConfig
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
 
@@ -35,6 +37,16 @@ def _env_int(name, default):
         return int(os.environ.get(name, ""))
     except ValueError:
         return default
+
+
+@functools.lru_cache(maxsize=None)
+def engine_config():
+    """The harnesses' :class:`repro.fi.config.EngineConfig`, read once
+    per process from ``REPRO_WORKERS`` / ``REPRO_CHECKPOINT_INTERVAL``
+    (serial, uncheckpointed when unset)."""
+    return EngineConfig(
+        workers=_env_int("REPRO_WORKERS", 1),
+        checkpoint_interval=_env_int("REPRO_CHECKPOINT_INTERVAL", 0))
 
 
 _runner = None
@@ -88,32 +100,21 @@ class BenchmarkRun:
                 f"{name}: golden run failed ({self.golden.outcome})")
         self.bec = run_bec(self.function)
 
-    def run_plan(self, plan, golden=None, workers=None,
-                 checkpoint_interval=None, max_cycles=None):
-        """Execute *plan* through the campaign engine.
-
-        ``workers``/``checkpoint_interval`` default to the
-        ``REPRO_WORKERS`` / ``REPRO_CHECKPOINT_INTERVAL`` environment
-        variables (serial, uncheckpointed when unset).  With a bound
-        result store (``REPRO_STORE`` / :func:`set_store`) the plan is
-        served from the store when its cell is archived.
+    def run_plan(self, plan, golden=None, max_cycles=None):
+        """Execute *plan* through the campaign engine under
+        :func:`engine_config`.  With a bound result store
+        (``REPRO_STORE`` / :func:`set_store`) the plan is served from
+        the store when its cell is archived.
         """
-        if workers is None:
-            workers = _env_int("REPRO_WORKERS", 1)
-        if checkpoint_interval is None:
-            checkpoint_interval = _env_int("REPRO_CHECKPOINT_INTERVAL", 0)
         golden = self.golden if golden is None else golden
         runner = campaign_runner()
         if runner is not None:
             return runner.run(self.machine, plan, regs=self.regs,
                               golden=golden, max_cycles=max_cycles,
-                              workers=workers,
-                              checkpoint_interval=checkpoint_interval
-                              or None)
+                              config=engine_config())
         engine = CampaignEngine(self.machine, plan, regs=self.regs,
                                 golden=golden, max_cycles=max_cycles)
-        return engine.run(workers=workers,
-                          checkpoint_interval=checkpoint_interval or None)
+        return engine.run(engine_config())
 
 
 _cache = {}

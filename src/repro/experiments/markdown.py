@@ -23,8 +23,7 @@ Absolute numbers differ from the paper by design: the paper compiles
 the benchmarks with LLVM 16 for RISC-V hardware and traces them on
 SPIKE, while this reproduction compiles mini-C versions of the same
 kernels for a RISC-V-flavoured IR and traces them on a pure-Python
-simulator at reduced input scale (see DESIGN.md §2 for the substitution
-table).  What must carry over — and is asserted by
+simulator at reduced input scale.  What must carry over — and is asserted by
 `tests/experiments/` — is the *shape*: who wins, by roughly what
 factor, and where the outliers sit.
 """

@@ -6,15 +6,14 @@ from repro.fi.accounting import (BitInstance, fault_injection_accounting,
 from repro.fi.campaign import (EFFECT_BENIGN, EFFECT_MASKED, EFFECT_SDC,
                                EFFECT_TIMEOUT, EFFECT_TRAP, CampaignResult,
                                classify_effect, golden_run, plan_bec,
-                               plan_exhaustive, plan_inject_on_read,
-                               run_campaign)
+                               plan_exhaustive, plan_inject_on_read)
 from repro.fi.chaos import ChaosError, ChaosPolicy
+from repro.fi.config import EngineConfig, EngineConfigError
 from repro.fi.machine import (DEFAULT_MAX_CYCLES, Injection, Machine,
                               MemoryInjection)
 from repro.fi.prune import LivenessPruner
 from repro.fi.memory import (iter_memory_bit_reads, memory_fault_accounting,
-                             plan_memory_bec, plan_memory_inject_on_read,
-                             run_memory_campaign)
+                             plan_memory_bec, plan_memory_inject_on_read)
 from repro.fi.sampling import (AVFEstimate, estimate_avf, exhaustive_avf,
                                inject_on_read_population, wilson_interval)
 from repro.fi.trace import Trace
@@ -32,6 +31,8 @@ __all__ = [
     "EFFECT_SDC",
     "EFFECT_TIMEOUT",
     "EFFECT_TRAP",
+    "EngineConfig",
+    "EngineConfigError",
     "Injection",
     "LivenessPruner",
     "Machine",
@@ -52,8 +53,6 @@ __all__ = [
     "plan_inject_on_read",
     "plan_memory_bec",
     "plan_memory_inject_on_read",
-    "run_campaign",
-    "run_memory_campaign",
     "validate_bec",
     "wilson_interval",
 ]

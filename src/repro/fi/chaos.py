@@ -112,7 +112,7 @@ class ChaosPolicy:
     ``ResultStore(path, chaos=policy)``::
 
         policy = ChaosPolicy().kill_worker(chunk=0, segment=1)
-        engine.run(workers=4, chaos=policy)   # worker 0 dies, run heals
+        engine.run(EngineConfig(workers=4), chaos=policy)  # heals
 
     ``fired`` counts every rule activation, so tests can assert the
     fault actually happened (a chaos test that silently injects

@@ -1,9 +1,9 @@
 """Checkpointed, parallel, vectorized fault-injection campaign engine.
 
-:func:`repro.fi.campaign.run_campaign` executes every planned injection
-serially and from cycle 0 — O(runs × trace-length) simulator work even
-though every injected run shares the golden prefix up to its injection
-cycle.  This module is the production engine behind it:
+Executing every planned injection serially and from cycle 0 costs
+O(runs × trace-length) simulator work even though every injected run
+shares the golden prefix up to its injection cycle.  The engine's
+settings come as one :class:`repro.fi.config.EngineConfig`:
 
 * **Checkpointing** (``checkpoint_interval=N``): the golden run is
   re-executed once with :meth:`Machine.run_with_snapshots`; each
@@ -59,7 +59,7 @@ cycle.  This module is the production engine behind it:
   the sink fan-out fires ``sink.consume`` — so every recovery path
   above is exercised by tests instead of merely claimed.
 
-All knobs compose and every combination preserves bit-identical
+All settings compose and every combination preserves bit-identical
 aggregates; snapshots and the batch classifier are built in the parent
 before the workers fork, so they inherit them for free.
 """
@@ -73,18 +73,10 @@ from repro.errors import SimulationError
 from repro.fi import batch
 from repro.fi.campaign import (EFFECT_MASKED, CampaignResult,
                                classify_effect)
+from repro.fi.config import EngineConfig
 from repro.fi.prune import LivenessPruner
 from repro.fi.sink import (AggregateSink, ChunkAssembler, ProgressSink,
                            SpoolSink, StridedUndealer, TeeSink)
-
-#: Records per streamed chunk when the caller does not choose.  Large
-#: enough to amortize sink dispatch, IPC pickling and (on the batched
-#: core) lane refills across many runs; small enough that the bounded
-#: per-chunk memory stays a few hundred KB.
-DEFAULT_CHUNK_SIZE = 2048
-
-#: Valid ``prune`` arguments of :meth:`CampaignEngine.run`.
-PRUNE_MODES = (None, "none", "liveness")
 
 
 def pick_snapshot(snapshots, cycle):
@@ -171,14 +163,6 @@ class _WorkerContext:
 #: pathological cases.
 SUPERVISOR_POLL_INTERVAL = 0.25
 
-#: Default respawn budget per strided chunk before the supervisor
-#: degrades that chunk to serial in-parent execution.
-DEFAULT_WORKER_RETRIES = 2
-
-#: Base of the exponential respawn backoff, in seconds (doubles per
-#: retry of the same chunk).
-DEFAULT_RETRY_BACKOFF = 0.05
-
 
 def _worker_main(context, conn, chunk_index, n_chunks, chunk_size,
                  segments, attempt, chaos):
@@ -254,28 +238,25 @@ class _Supervisor:
     closes its pipe, so death is observed as an EOF (or a truncated
     message) rather than an eternal ``queue.get()``.  Unfinished
     segments of a dead worker are re-run by a respawned worker —
-    ``worker_retries`` times with exponential backoff — and finally
+    ``config.worker_retries`` times with exponential backoff — and then
     in-parent, serially, so the campaign always terminates with the
     full plan-ordered record stream intact."""
 
-    def __init__(self, context, n_chunks, chunk_size, assembler,
-                 undealer, chaos=None,
-                 worker_retries=DEFAULT_WORKER_RETRIES,
-                 retry_backoff=DEFAULT_RETRY_BACKOFF):
+    def __init__(self, context, n_chunks, config, assembler, undealer,
+                 chaos=None):
         self.context = context
         self.n_chunks = n_chunks
-        self.chunk_size = chunk_size
+        self.chunk_size = config.chunk_size
         self.assembler = assembler
         self.undealer = undealer
         self.chaos = chaos
-        self.worker_retries = worker_retries
-        self.retry_backoff = retry_backoff
+        self.config = config
         self.mp = multiprocessing.get_context("fork")
         self.chunks = []
         for index in range(n_chunks):
             mine = context.todo[index::n_chunks]
             self.chunks.append(_ChunkState(
-                index, -(-len(mine) // chunk_size)))
+                index, -(-len(mine) // self.chunk_size)))
         self.recoveries = 0             # dead workers healed
         self.serial_chunks = 0          # chunks finished in-parent
 
@@ -405,10 +386,11 @@ class _Supervisor:
         with exponential backoff, then serial in-parent execution."""
         self.recoveries += 1
         obs.metrics().counter("engine.recoveries").inc()
-        if state.attempt > self.worker_retries:
+        if state.attempt > self.config.worker_retries:
             self._finish_serially(state)
             return
-        time.sleep(self.retry_backoff * (1 << (state.attempt - 1)))
+        time.sleep(self.config.retry_backoff
+                   * (1 << (state.attempt - 1)))
         self._spawn(state)
 
     def _finish_serially(self, state):
@@ -449,10 +431,10 @@ class CampaignEngine:
     """Executes a fault-injection plan with checkpointing, workers and
     (on a ``core="batched"`` machine) lockstep vectorization.
 
-    ``CampaignEngine(machine, plan).run(workers=4,
-    checkpoint_interval=64)`` returns the same :class:`CampaignResult`
+    ``CampaignEngine(machine, plan).run(EngineConfig(workers=4,
+    checkpoint_interval=64))`` returns the same :class:`CampaignResult`
     (modulo ``wall_time``) as the serial, uncheckpointed
-    :func:`repro.fi.campaign.run_campaign`.
+    ``CampaignEngine(machine, plan).run()``.
     """
 
     def __init__(self, machine, plan, regs=None, golden=None,
@@ -487,40 +469,20 @@ class CampaignEngine:
         over the ``engine.serial_degraded_chunks`` counter)."""
         return self._degraded_counter.value - self._degraded_mark
 
-    def run(self, workers=1, checkpoint_interval=None, progress=None,
-            prune=None, batch_lanes=None, sink=None, chunk_size=None,
-            chaos=None, worker_retries=DEFAULT_WORKER_RETRIES,
-            retry_backoff=DEFAULT_RETRY_BACKOFF):
-        """Execute the whole plan; returns a :class:`CampaignResult`.
+    def run(self, config=EngineConfig(), progress=None, sink=None,
+            chaos=None):
+        """Execute the whole plan under *config* (a
+        :class:`repro.fi.config.EngineConfig`); returns a
+        :class:`CampaignResult`.
 
-        ``workers`` > 1 forks that many supervised processes;
-        ``checkpoint_interval`` enables snapshot/resume at that cycle
-        granularity (auto-enabled on a batched machine, which needs the
-        snapshots as lane join points); ``prune="liveness"``
-        pre-classifies provably overwritten-before-read injections
-        without simulation; ``batch_lanes`` sets the lockstep lane
-        count; ``progress`` is an optional ``callable(done, total)``
-        invoked as chunks retire; ``sink`` is an optional extra
+        ``progress`` is an optional ``callable(done, total)`` invoked
+        as chunks retire; ``sink`` is an optional extra
         :class:`repro.fi.sink.RunSink` receiving the plan-ordered
-        record stream (e.g. a store writer); ``chunk_size`` bounds
-        resident records per streamed chunk (default
-        :data:`DEFAULT_CHUNK_SIZE`) — a parity knob, never an
-        aggregate-changing one.  ``chaos`` threads a deterministic
-        :class:`repro.fi.chaos.ChaosPolicy` through the workers and the
-        sink fan-out; ``worker_retries`` bounds how often a dead
-        worker's chunk is respawned (with ``retry_backoff``-seconds
-        exponential backoff) before the engine degrades that chunk to
-        serial in-parent execution — recovery knobs never change
-        aggregates.
+        record stream (e.g. a store writer); ``chaos`` threads a
+        deterministic :class:`repro.fi.chaos.ChaosPolicy` through the
+        workers and the sink fan-out.  Only ``config.prune`` can change
+        aggregates; every other setting is a parity setting.
         """
-        if prune not in PRUNE_MODES:
-            raise SimulationError(f"unknown prune mode {prune!r}")
-        if batch_lanes is not None and batch_lanes < 1:
-            raise SimulationError("lane count must be positive")
-        if chunk_size is None:
-            chunk_size = DEFAULT_CHUNK_SIZE
-        elif chunk_size < 1:
-            raise SimulationError("chunk size must be positive")
         # Re-mark the supervision counters so the read-through aliases
         # report the latest run only (observable by tests and
         # reporting: how often did the run actually self-heal?).
@@ -528,17 +490,15 @@ class CampaignEngine:
         self._degraded_mark = self._degraded_counter.value
         obs.metrics().counter("engine.campaigns").inc()
         with obs.tracer().span("engine.campaign", runs=len(self.plan),
-                               core=self.machine.core, workers=workers):
-            return self._run(workers, checkpoint_interval, progress,
-                             prune, batch_lanes, sink, chunk_size,
-                             chaos, worker_retries, retry_backoff)
+                               core=self.machine.core,
+                               workers=config.workers):
+            return self._run(config, progress, sink, chaos)
 
-    def _run(self, workers, checkpoint_interval, progress, prune,
-             batch_lanes, sink, chunk_size, chaos, worker_retries,
-             retry_backoff):
+    def _run(self, config, progress, sink, chaos):
         start = time.perf_counter()
         batched = (self.machine.core == "batched"
                    and batch.numpy_available())
+        checkpoint_interval = config.checkpoint_interval
         if batched and not checkpoint_interval:
             checkpoint_interval = max(1, self.golden.cycles // 32)
         snapshots = None
@@ -555,7 +515,7 @@ class CampaignEngine:
         todo = range(total)
         pruned = 0
         masked = None
-        if prune == "liveness" and todo:
+        if config.prune == "liveness" and todo:
             pruner = LivenessPruner(self.machine.function, self.golden)
             masked = (EFFECT_MASKED, self.golden.signature(),
                       self.golden.byte_size())
@@ -570,8 +530,7 @@ class CampaignEngine:
                 self.machine, self.golden, snapshots, self.max_cycles):
             classifier = batch.BatchClassifier(
                 self.machine, self.plan, self.regs, self.golden,
-                snapshots, self.max_cycles,
-                lanes=batch_lanes or batch.DEFAULT_LANES)
+                snapshots, self.max_cycles, lanes=config.batch_lanes)
         # Distinguishes the lockstep core actually engaging from the
         # silent scalar fallback (NumPy missing, non-batchable setup).
         # A plan fully pre-classified by pruning left nothing to
@@ -592,17 +551,16 @@ class CampaignEngine:
 
             sinks.append(ChaosSink(chaos))
         tee = TeeSink(sinks)
+        chunk_size = config.chunk_size
         try:
             tee.begin({"total_runs": total, "pruned_runs": pruned,
                        "vectorized": vectorized, "chunk_size": chunk_size,
                        "plan": self.plan, "golden": self.golden})
             assembler = ChunkAssembler(self.plan, todo, masked, tee,
                                        chunk_size)
-            if workers and workers > 1 and len(todo) > 1 \
+            if config.workers > 1 and len(todo) > 1 \
                     and "fork" in multiprocessing.get_all_start_methods():
-                self._run_parallel(context, workers, chunk_size,
-                                   assembler, chaos, worker_retries,
-                                   retry_backoff)
+                self._run_parallel(context, config, assembler, chaos)
             else:
                 self._run_serial(context, chunk_size, assembler)
             assembler.close()
@@ -631,16 +589,13 @@ class CampaignEngine:
             with tracer.span("engine.chunk", low=low, size=len(indices)):
                 assembler.push(context.classify_indices(indices))
 
-    def _run_parallel(self, context, workers, chunk_size, assembler,
-                      chaos, worker_retries, retry_backoff):
+    def _run_parallel(self, context, config, assembler, chaos):
         pending = len(context.todo)
-        n_chunks = max(1, min(workers, pending))
+        n_chunks = max(1, min(config.workers, pending))
         # Segments arrive out of order across workers; the un-dealer
         # buffers them and releases maximal plan-order runs, keeping
         # the parent's residency at O(chunk_size × workers).
-        undealer = StridedUndealer(pending, n_chunks, chunk_size)
-        supervisor = _Supervisor(context, n_chunks, chunk_size,
-                                 assembler, undealer, chaos=chaos,
-                                 worker_retries=worker_retries,
-                                 retry_backoff=retry_backoff)
+        undealer = StridedUndealer(pending, n_chunks, config.chunk_size)
+        supervisor = _Supervisor(context, n_chunks, config, assembler,
+                                 undealer, chaos=chaos)
         supervisor.run()

@@ -30,7 +30,8 @@ from repro import obs
 from repro.ir.liveness import compute_liveness
 from repro.fi.accounting import iter_bit_instances
 from repro.fi.campaign import (EFFECT_MASKED, classify_effect,
-                               plan_inject_on_read, run_campaign)
+                               plan_inject_on_read)
+from repro.fi.config import EngineConfig
 from repro.fi.machine import Injection
 
 AVFEstimate = namedtuple(
@@ -173,14 +174,15 @@ def _batched_outcome_cache(machine, sampled, regs, golden, snapshots,
 
 def estimate_avf(machine, function, trace, budget, seed=0, regs=None,
                  bec=None, golden=None, confidence=0.95,
-                 checkpoint_interval=None):
+                 config=EngineConfig()):
     """Estimate the AVF of *function* by sampling *budget* fault sites.
 
     Samples uniformly with replacement from the inject-on-read
     population of *trace*.  With *bec* the outcome of each equivalence
     class epoch is computed once and reused (and masked sites are free),
     which cuts simulator runs without changing the estimator's
-    distribution.  With *checkpoint_interval* each simulator run resumes
+    distribution.  With ``config.checkpoint_interval`` (an
+    :class:`repro.fi.config.EngineConfig`) each simulator run resumes
     from the deepest golden-run snapshot before its injection cycle
     (identical outcomes, shorter runs).  On a ``core="batched"``
     machine (with checkpointing) all unique sampled sites are
@@ -192,10 +194,10 @@ def estimate_avf(machine, function, trace, budget, seed=0, regs=None,
     golden = golden or machine.run(regs=regs)
     max_cycles = 4 * golden.cycles + 1024
     snapshots = None
-    if checkpoint_interval:
+    if config.checkpoint_interval:
         from repro.fi.engine import run_injection
         _, snapshots = machine.run_with_snapshots(
-            regs=regs, interval=checkpoint_interval,
+            regs=regs, interval=config.checkpoint_interval,
             max_cycles=max_cycles)
     population = inject_on_read_population(function, trace, bec=bec)
     if not population:
@@ -242,13 +244,14 @@ def estimate_avf(machine, function, trace, budget, seed=0, regs=None,
 
 
 def exhaustive_avf(machine, function, trace, regs=None, golden=None,
-                   workers=1, checkpoint_interval=None):
+                   config=EngineConfig()):
     """Ground-truth AVF: run the full inject-on-read campaign."""
+    from repro.fi.engine import CampaignEngine
+
     golden = golden or machine.run(regs=regs)
     plan = plan_inject_on_read(function, trace)
-    result = run_campaign(machine, plan, regs=regs, golden=golden,
-                          workers=workers,
-                          checkpoint_interval=checkpoint_interval)
+    result = CampaignEngine(machine, plan, regs=regs,
+                            golden=golden).run(config)
     if not plan:
         raise ValueError("empty fault population; nothing to inject")
     return result.vulnerable_runs() / len(plan)

@@ -20,10 +20,12 @@ and the tests:
   what dynamic instruction overhead it pays for them.
 """
 
+import dataclasses
 from collections import namedtuple
 
 from repro.bec.analysis import run_bec
 from repro.fi.campaign import EFFECT_DETECTED, EFFECT_SDC, plan_inject_on_read
+from repro.fi.config import EngineConfig
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
 from repro.harden import harden
@@ -48,9 +50,10 @@ def strided_plan(function, golden, target_runs):
 
 def run_variant(function, strategy, plan, golden, regs=None,
                 memory_image=None, memory_size=1 << 16, bec=None,
-                budget=0.3, workers=1, checkpoint_interval=None,
-                core="threaded", runner=None):
-    """Harden with *strategy*, replay *plan* against it; returns a
+                budget=0.3, config=EngineConfig(), core="threaded",
+                runner=None):
+    """Harden with *strategy*, replay *plan* against it under *config*
+    (a :class:`repro.fi.config.EngineConfig`); returns a
     :class:`VariantOutcome`.
 
     *runner* (a :class:`repro.store.CachingRunner`) serves the mapped
@@ -80,14 +83,12 @@ def run_variant(function, strategy, plan, golden, regs=None,
     mapped = result.map_plan(plan, hardened_golden)
     if runner is not None:
         campaign = runner.run(machine, mapped, regs=regs,
-                              golden=hardened_golden, workers=workers,
-                              checkpoint_interval=checkpoint_interval,
+                              golden=hardened_golden, config=config,
                               harden=strategy, budget=budget)
     else:
         engine = CampaignEngine(machine, mapped, regs=regs,
                                 golden=hardened_golden)
-        campaign = engine.run(workers=workers,
-                              checkpoint_interval=checkpoint_interval)
+        campaign = engine.run(config)
     overhead = hardened_golden.cycles / golden.cycles - 1 \
         if golden.cycles else 0.0
     from repro.harden.select import eligible_pps
@@ -110,8 +111,8 @@ def count_conversions(baseline, variant):
 def ladder_comparison(function, golden, regs=None, memory_image=None,
                       memory_size=1 << 16, bec=None,
                       budgets=(0.3, 0.6, 0.85), target_runs=160,
-                      workers=1, checkpoint_interval=None,
-                      coverage_target=0.9, runner=None):
+                      config=EngineConfig(), coverage_target=0.9,
+                      runner=None):
     """The shared evaluation protocol of ``experiments/protection.py``
     and ``benchmarks/bench_harden.py``: one strided fault plan replayed
     against baseline, full duplication and ``bec`` at a ladder of
@@ -124,15 +125,16 @@ def ladder_comparison(function, golden, regs=None, memory_image=None,
     (the first ladder entry whose coverage reaches *coverage_target*,
     else the last).  Keeping this in one place guarantees the
     experiment table and the benchmark gates can never disagree on the
-    protocol.
+    protocol.  Without a checkpoint interval in *config* one is picked
+    from the trace length.
     """
     bec = bec or run_bec(function)
-    if checkpoint_interval is None:
-        checkpoint_interval = max(1, golden.cycles // 32)
+    if not config.checkpoint_interval:
+        config = dataclasses.replace(
+            config, checkpoint_interval=max(1, golden.cycles // 32))
     plan = strided_plan(function, golden, target_runs)
     common = dict(regs=regs, memory_image=memory_image,
-                  memory_size=memory_size, bec=bec, workers=workers,
-                  checkpoint_interval=checkpoint_interval,
+                  memory_size=memory_size, bec=bec, config=config,
                   runner=runner)
     baseline = run_variant(function, "none", plan, golden, **common)
     full = run_variant(function, "full", plan, golden, **common)
@@ -172,11 +174,8 @@ def ladder_comparison(function, golden, regs=None, memory_image=None,
 
 def compare_protection(function, golden, regs=None, memory_image=None,
                        memory_size=1 << 16, bec=None, budget=0.3,
-                       target_runs=240, workers=1,
-                       checkpoint_interval=None, strategies=("none",
-                                                             "full",
-                                                             "bec"),
-                       runner=None):
+                       target_runs=240, config=EngineConfig(),
+                       strategies=("none", "full", "bec"), runner=None):
     """Run the full three-way comparison; returns a
     :class:`ProtectionComparison` whose ``variants`` dict maps strategy
     name to :class:`VariantOutcome` and whose ``conversions`` dict maps
@@ -189,8 +188,7 @@ def compare_protection(function, golden, regs=None, memory_image=None,
         variants[strategy] = run_variant(
             function, strategy, plan, golden, regs=regs,
             memory_image=memory_image, memory_size=memory_size, bec=bec,
-            budget=budget, workers=workers,
-            checkpoint_interval=checkpoint_interval, runner=runner)
+            budget=budget, config=config, runner=runner)
     baseline = variants["none"]
     conversions = {strategy: count_conversions(baseline, outcome)
                    for strategy, outcome in variants.items()

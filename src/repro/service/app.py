@@ -19,6 +19,7 @@ the only consumer.
 
 import asyncio
 import threading
+from dataclasses import dataclass
 
 from repro import obs
 from repro.dist.queue import (DEFAULT_LEASE_SECONDS,
@@ -35,28 +36,30 @@ from repro.service.webhooks import WebhookNotifier
 from repro.service.workers import WorkerPool
 
 
+@dataclass
 class ServiceConfig:
-    """Everything ``repro serve`` accepts, as one value object."""
+    """Everything ``repro serve`` accepts, as one value object.
 
-    def __init__(self, queue_path, store_path, host="127.0.0.1",
-                 port=8035, api_keys=(), dev=False, workers=1,
-                 engine_workers=1, secret=None,
-                 lease_seconds=DEFAULT_LEASE_SECONDS,
-                 max_attempts=DEFAULT_MAX_ATTEMPTS,
-                 cell_timeout=None, webhook_deliver=None):
-        self.queue_path = queue_path
-        self.store_path = store_path
-        self.host = host
-        self.port = port
-        self.api_keys = tuple(api_keys)
-        self.dev = dev
-        self.workers = workers
-        self.engine_workers = engine_workers
-        self.secret = secret
-        self.lease_seconds = lease_seconds
-        self.max_attempts = max_attempts
-        self.cell_timeout = cell_timeout
-        self.webhook_deliver = webhook_deliver
+    ``workers`` counts in-process drain loops; *overrides* are the
+    engine settings those loops impose over each spec's ``[engine]``
+    table (see :class:`repro.dist.worker.DistWorker`).
+    """
+
+    queue_path: str
+    store_path: str
+    host: str = "127.0.0.1"
+    port: int = 8035
+    api_keys: tuple = ()
+    dev: bool = False
+    workers: int = 1
+    overrides: dict = None
+    secret: str = None
+    lease_seconds: float = DEFAULT_LEASE_SECONDS
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
+    webhook_deliver: object = None
+
+    def __post_init__(self):
+        self.api_keys = tuple(self.api_keys)
 
 
 class CampaignService:
@@ -75,9 +78,7 @@ class CampaignService:
             config.queue_path, config.store_path,
             count=config.workers, secret=config.secret,
             lease_seconds=config.lease_seconds,
-            engine_workers=config.engine_workers,
-            events=self._worker_event,
-            cell_timeout=config.cell_timeout)
+            overrides=config.overrides, events=self._worker_event)
         self.notifier = WebhookNotifier(
             config.queue_path, self.jobs_table, self.audit,
             self.broker, secret=config.secret,

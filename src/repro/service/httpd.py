@@ -20,6 +20,7 @@ import asyncio
 import inspect
 import json
 import re
+import uuid
 
 from repro import obs
 
@@ -199,10 +200,14 @@ class Dispatcher:
             result = Response.json({"error": error.message},
                                    error.status)
         except Exception as error:  # handler bug: surface, don't die
+            # The exception text stays in the log; the client gets an
+            # opaque id that finds it there.
+            error_id = uuid.uuid4().hex
             obs.logger().error("service.handler_error",
-                               path=request.path, error=repr(error))
+                               path=request.path, error=repr(error),
+                               error_id=error_id)
             result = Response.json(
-                {"error": "internal error: %s" % error}, 500)
+                {"error": "internal error", "error_id": error_id}, 500)
         obs.metrics().counter(
             "service.requests", route=route_label,
             method=request.method,

@@ -32,16 +32,15 @@ class WorkerPool:
     """N daemon drain-loops over one queue/store pair."""
 
     def __init__(self, queue_path, store_path, count=1, secret=None,
-                 lease_seconds=DEFAULT_LEASE_SECONDS, engine_workers=1,
-                 events=None, cell_timeout=None, name="serve"):
+                 lease_seconds=DEFAULT_LEASE_SECONDS, overrides=None,
+                 events=None, name="serve"):
         self.queue_path = queue_path
         self.store_path = store_path
         self.count = count
         self.secret = secret
         self.lease_seconds = lease_seconds
-        self.engine_workers = engine_workers
+        self.overrides = overrides
         self.events = events
-        self.cell_timeout = cell_timeout
         self.name = name
         self._wake = threading.Event()
         self._stop = threading.Event()
@@ -71,11 +70,10 @@ class WorkerPool:
         worker = DistWorker(
             queue, store, worker_id=worker_id,
             lease_seconds=self.lease_seconds, secret=self.secret,
-            engine_workers=self.engine_workers,
+            overrides=self.overrides,
             # Idle exits return to the pool's wake wait, not the
             # drain loop's own long poll.
-            max_idle_seconds=IDLE_WAIT,
-            cell_timeout=self.cell_timeout, events=self.events)
+            max_idle_seconds=IDLE_WAIT, events=self.events)
         try:
             while not self._stop.is_set():
                 try:

@@ -17,8 +17,7 @@ so they are stored once under a content address
 """
 
 from repro.store.db import CachedCampaignResult, ResultStore
-from repro.store.keys import (PARITY_KNOBS, SCHEMA_VERSION, campaign_key,
-                              canonical_config)
+from repro.store.keys import SCHEMA_VERSION, campaign_key, canonical_config
 from repro.store.runner import CachingRunner
 from repro.store.spec import (SweepCell, SweepSpec, SweepSpecError,
                               load_spec, parse_spec)
@@ -29,7 +28,6 @@ __all__ = [
     "CachedCampaignResult",
     "CachingRunner",
     "CellOutcome",
-    "PARITY_KNOBS",
     "ResultStore",
     "SCHEMA_VERSION",
     "SweepCell",

@@ -52,6 +52,7 @@ from datetime import datetime, timezone
 import repro
 from repro import obs
 from repro.fi.campaign import Aggregates, CampaignResult, PlannedRun
+from repro.fi.config import DEFAULT_CHUNK_SIZE
 from repro.fi.machine import Injection
 from repro.store.keys import SCHEMA_VERSION
 
@@ -59,10 +60,6 @@ from repro.store.keys import SCHEMA_VERSION
 #: written by any other version misses cleanly (and is invisible to
 #: ``in`` / ``len`` / ``keys()`` / ``stats()``).
 READABLE_VERSIONS = (1, SCHEMA_VERSION)
-
-#: Records per archived chunk when the writer is not told otherwise
-#: (matches the engine's default streaming granularity).
-DEFAULT_CHUNK_SIZE = 2048
 
 #: Lock-contention absorption: seconds SQLite itself blocks on a busy
 #: database before raising, and how often the store then retries a

@@ -1,14 +1,15 @@
 """Content-addressed cache keys for campaign results.
 
 A campaign's aggregates are a pure function of *what* is simulated —
-the program, its inputs, the fault plan — and of the handful of engine
-knobs that select genuinely different semantics (the hardening
-transform baked into the program, the effect-class bookkeeping of
-``prune``, the timeout budget).  They are **not** a function of *how*
-the simulation is scheduled: PR 1-4's parity invariants guarantee
-bit-identical aggregates across ``workers``, ``checkpoint_interval``
-and ``batch_lanes``, so those knobs are deliberately excluded from the
-key — a result produced by one schedule is valid under every other.
+the program, its inputs, the fault plan — and of the handful of
+settings that select genuinely different semantics: the core, the
+hardening transform baked into the program, the timeout budget, and
+the :class:`repro.fi.config.EngineConfig` fields tagged *semantic*
+(``prune``).  They are **not** a function of *how* the simulation is
+scheduled: the config's *schedule* fields (workers, checkpoint
+interval, lanes, chunking, retries, deadlines) leave aggregates
+bit-identical, so they never enter the key — a result produced by one
+schedule is valid under every other.
 
 :func:`campaign_key` digests the canonical JSON encoding of
 
@@ -19,7 +20,7 @@ key — a result produced by one schedule is valid under every other.
 * the initial register values,
 * the fault plan (one ``[cycle, reg, bit, pp, rep, epoch]`` row per
   planned run, in plan order),
-* the engine config (:func:`canonical_config`).
+* the semantic settings (:func:`canonical_config`).
 
 Versioning is split on purpose.  Bump :data:`KEY_VERSION` only when
 the key *recipe* changes (what is digested) — that invalidates every
@@ -32,7 +33,7 @@ written before the bump still serves hits instead of re-simulating.
 import hashlib
 import json
 
-from repro.errors import SimulationError
+from repro.fi.config import EngineConfig
 from repro.ir.printer import format_function
 
 #: Version stamp of the key recipe (the digested payload below).
@@ -45,39 +46,19 @@ KEY_VERSION = 1
 #: newest.
 SCHEMA_VERSION = 2
 
-#: Engine knobs excluded from the key: campaign aggregates are
-#: bit-identical across them (the engine's parity invariants), so one
-#: cached result serves every setting.
-PARITY_KNOBS = ("workers", "checkpoint_interval", "batch_lanes")
 
-#: Engine knobs that *do* participate in the key.
-KEY_KNOBS = ("core", "prune", "harden", "budget", "max_cycles")
-
-
-def canonical_config(config=None):
-    """Normalize an engine-config dict for keying.
-
-    Accepts the :data:`KEY_KNOBS` (missing ones default) and silently
-    drops the :data:`PARITY_KNOBS`; any other key is an error, so a
-    future knob must make an explicit appearance in one of the two
-    lists before results made with it can be cached.
-    """
-    config = dict(config or {})
-    for knob in PARITY_KNOBS:
-        config.pop(knob, None)
-    unknown = set(config) - set(KEY_KNOBS)
-    if unknown:
-        raise SimulationError(
-            f"unknown engine-config keys for the result store: "
-            f"{sorted(unknown)} (add them to KEY_KNOBS or PARITY_KNOBS)")
-    harden = config.get("harden") or "none"
+def canonical_config(core="threaded", harden="none", budget=None,
+                     max_cycles=None, config=EngineConfig()):
+    """The semantic settings of a cell, as keyed: the cell's core,
+    hardening policy and budget, the engine's timeout budget and the
+    semantic fields of *config*."""
     return {
-        "core": config.get("core") or "threaded",
-        "prune": config.get("prune") or "none",
+        "core": core,
         "harden": harden,
         # The budget only shapes the transform under the bec strategy.
-        "budget": config.get("budget") if harden == "bec" else None,
-        "max_cycles": config.get("max_cycles") or "auto",
+        "budget": budget if harden == "bec" else None,
+        "max_cycles": max_cycles or "auto",
+        **config.semantic(),
     }
 
 
@@ -90,7 +71,8 @@ def plan_rows(plan):
 
 
 def campaign_key(function, plan, regs=None, memory_image=None,
-                 memory_size=1 << 16, config=None):
+                 memory_size=1 << 16, core="threaded", harden="none",
+                 budget=None, max_cycles=None, config=EngineConfig()):
     """Hex digest addressing one campaign cell in the store."""
     payload = {
         "schema": KEY_VERSION,
@@ -100,7 +82,8 @@ def campaign_key(function, plan, regs=None, memory_image=None,
         "regs": sorted((reg, int(value))
                        for reg, value in (regs or {}).items()),
         "plan": plan_rows(plan),
-        "config": canonical_config(config),
+        "config": canonical_config(core, harden, budget, max_cycles,
+                                   config),
     }
     blob = json.dumps(payload, sort_keys=True,
                       separators=(",", ":")).encode()

@@ -5,9 +5,10 @@ consumer shares (``repro sweep``, the experiment harnesses, the CLI's
 ``campaign --store``): compute the content address of the requested
 cell, return the archived result on a hit, otherwise execute the plan
 through :class:`repro.fi.engine.CampaignEngine` and archive the
-outcome.  Because the key excludes the parity knobs (``workers``,
-``checkpoint_interval``, ``batch_lanes``, ``chunk_size``), a result
-computed serially is a hit for a 16-worker request and vice versa.
+outcome.  Because the key excludes the config's schedule fields
+(``workers``, ``checkpoint_interval``, ``batch_lanes``, ``chunk_size``,
+...), a result computed serially is a hit for a 16-worker request and
+vice versa.
 
 Both directions of the store dataflow stream: a miss attaches a
 :class:`repro.fi.sink.StoreWriterSink` so chunks archive as the engine
@@ -16,6 +17,7 @@ replays the archive as a lazy chunk iterator — neither path holds more
 than O(chunk_size) records.
 """
 
+from repro.fi.config import EngineConfig
 from repro.fi.engine import CampaignEngine
 from repro.fi.sink import StoreWriterSink, TeeSink
 from repro.store.keys import campaign_key
@@ -38,23 +40,22 @@ class CachingRunner:
         self.simulator_runs = 0
         self.last_key = None    # content address of the latest run()
 
-    def key_for(self, machine, plan, regs=None, prune=None,
-                harden="none", budget=None, max_cycles=None):
+    def key_for(self, machine, plan, regs=None, harden="none",
+                budget=None, max_cycles=None, config=EngineConfig()):
         """The content address the cell will be stored under."""
         return campaign_key(
             machine.function, plan, regs=regs,
             memory_image=machine.memory_image,
-            memory_size=machine.memory_size,
-            config={"core": machine.core, "prune": prune,
-                    "harden": harden, "budget": budget,
-                    "max_cycles": max_cycles})
+            memory_size=machine.memory_size, core=machine.core,
+            harden=harden, budget=budget, max_cycles=max_cycles,
+            config=config)
 
     def run(self, machine, plan, regs=None, golden=None, max_cycles=None,
-            workers=1, checkpoint_interval=None, prune=None,
-            batch_lanes=None, harden="none", budget=None, progress=None,
-            chunk_size=None, sink=None, commit=True):
+            config=EngineConfig(), harden="none", budget=None,
+            progress=None, sink=None, commit=True):
         """Cached :class:`repro.fi.campaign.CampaignResult` for the
-        cell, executing (and archiving) it on a miss.
+        cell, executing (and archiving) it under *config* (a
+        :class:`repro.fi.config.EngineConfig`) on a miss.
 
         ``result.cached`` tells the caller which path was taken.
         *sink* joins the engine's fan-out on a miss (a distributed
@@ -64,9 +65,9 @@ class CachingRunner:
         commit path).
         """
         plan = list(plan)
-        key = self.key_for(machine, plan, regs=regs, prune=prune,
-                           harden=harden, budget=budget,
-                           max_cycles=max_cycles)
+        key = self.key_for(machine, plan, regs=regs, harden=harden,
+                           budget=budget, max_cycles=max_cycles,
+                           config=config)
         self.last_key = key
         if not self.force:
             cached = self.store.get(key)
@@ -83,13 +84,8 @@ class CachingRunner:
         engine_sink = sinks[0] if len(sinks) == 1 else (
             TeeSink(sinks) if sinks else None)
         try:
-            result = engine.run(workers=workers,
-                                checkpoint_interval=checkpoint_interval,
-                                progress=progress,
-                                prune=None if prune in (None, "none")
-                                else prune,
-                                batch_lanes=batch_lanes, sink=engine_sink,
-                                chunk_size=chunk_size)
+            result = engine.run(config, progress=progress,
+                                sink=engine_sink)
         except BaseException:
             if engine_sink is not None:
                 abort = getattr(engine_sink, "abort", None)

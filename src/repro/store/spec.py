@@ -13,7 +13,7 @@ canonical shape::
     budgets = [0.3, 0.6]                   # only meaningful for harden = "bec"
     cores   = ["threaded"]                 # execution cores
 
-    [engine]                               # all optional
+    [engine]                               # all optional: EngineConfig
     workers = 2                            # processes for cache misses
     checkpoint_interval = 64               # snapshot/resume granularity
     prune = "none"                         # or "liveness"
@@ -34,6 +34,7 @@ import os
 from collections import namedtuple
 from itertools import product
 
+from repro.fi.config import SPEC_FIELDS, EngineConfig, EngineConfigError
 from repro.fi.machine import Machine
 
 try:
@@ -103,7 +104,9 @@ def _listed(section, key, default, valid=None):
 
 
 class SweepSpec:
-    """A validated grid spec; :meth:`cells` expands it."""
+    """A validated grid spec; :meth:`cells` expands it and ``engine``
+    holds the ``[engine]`` table as a
+    :class:`repro.fi.config.EngineConfig`."""
 
     def __init__(self, data, name="sweep"):
         if not isinstance(data, dict) or "grid" not in data:
@@ -133,46 +136,14 @@ class SweepSpec:
                     f"grid.budgets: budget {budget} must be positive")
         self.cores = _listed(grid, "cores", ("threaded",), Machine.CORES)
         engine = data.get("engine", {})
-        unknown = set(engine) - {"workers", "checkpoint_interval",
-                                 "prune", "max_runs", "batch_lanes",
-                                 "chunk_size", "max_retries",
-                                 "max_wall_seconds"}
+        unknown = set(engine) - set(SPEC_FIELDS)
         if unknown:
             raise SweepSpecError(
                 f"unknown engine keys: {sorted(unknown)}")
-        self.workers = int(engine.get("workers", 1))
-        self.checkpoint_interval = int(
-            engine.get("checkpoint_interval", 0))
-        self.prune = engine.get("prune", "none")
-        if self.prune not in ("none", "liveness"):
-            raise SweepSpecError(
-                f"engine.prune: unknown mode {self.prune!r}")
-        self.max_runs = engine.get("max_runs")
-        if self.max_runs is not None:
-            self.max_runs = int(self.max_runs)
-            if self.max_runs < 1:
-                raise SweepSpecError("engine.max_runs must be >= 1")
-        self.batch_lanes = engine.get("batch_lanes")
-        if self.batch_lanes is not None:
-            self.batch_lanes = int(self.batch_lanes)
-        self.chunk_size = engine.get("chunk_size")
-        if self.chunk_size is not None:
-            self.chunk_size = int(self.chunk_size)
-            if self.chunk_size < 1:
-                raise SweepSpecError("engine.chunk_size must be >= 1")
-        self.max_retries = int(engine.get("max_retries", 0))
-        if self.max_retries < 0:
-            raise SweepSpecError("engine.max_retries must be >= 0")
-        self.max_wall_seconds = engine.get("max_wall_seconds")
-        if self.max_wall_seconds is not None:
-            try:
-                self.max_wall_seconds = float(self.max_wall_seconds)
-            except (TypeError, ValueError):
-                raise SweepSpecError(
-                    "engine.max_wall_seconds must be a number")
-            if self.max_wall_seconds <= 0:
-                raise SweepSpecError(
-                    "engine.max_wall_seconds must be > 0")
+        try:
+            self.engine = EngineConfig(**engine)
+        except EngineConfigError as error:
+            raise SweepSpecError(f"engine.{error}") from None
 
     def cells(self):
         """The expanded grid, in deterministic spec order.

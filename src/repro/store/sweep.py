@@ -35,9 +35,6 @@ CellOutcome = namedtuple(
      "distinct_traces", "archived_bytes", "wall_time", "golden_cycles",
      "overhead", "error"], defaults=(None,))
 
-#: Base seconds between cell re-attempts (doubles per retry).
-CELL_RETRY_BACKOFF = 0.05
-
 _PLANNERS = {
     "bec": lambda function, golden, bec: plan_bec(function, golden, bec),
     "ior": lambda function, golden, bec: plan_inject_on_read(function,
@@ -75,35 +72,31 @@ def _load_kernel(ref):
 
 
 class SweepRunner:
-    """Executes one spec against one store.
+    """Executes one spec against one store under one
+    :class:`repro.fi.config.EngineConfig` (*config*, default the
+    spec's ``engine``).
 
     Cell failures are governed by a retry policy: each failing cell is
-    re-attempted up to *max_retries* times (default: the spec's
-    ``engine.max_retries``, itself defaulting to 0) with exponential
-    backoff.  When a cell exhausts its attempts, the default is to
-    re-raise (one bad cell aborts the sweep, preserving historical
-    behavior); with ``continue_on_error=True`` the sweep records the
-    failure as a :class:`CellOutcome` carrying ``error`` and keeps
-    going, so one poisoned cell cannot sink a nightly grid.
+    re-attempted up to ``config.max_retries`` times with exponential
+    backoff (``config.retry_backoff``).  When a cell exhausts its
+    attempts, the default is to re-raise (one bad cell aborts the
+    sweep, preserving historical behavior); with
+    ``continue_on_error=True`` the sweep records the failure as a
+    :class:`CellOutcome` carrying ``error`` and keeps going, so one
+    poisoned cell cannot sink a nightly grid.
 
     Each cell additionally runs under a wall-clock deadline
-    (*max_wall_seconds*, default the spec's ``engine.max_wall_seconds``)
-    so a hung cell *fails* — into the same retry / continue-on-error
-    machinery — instead of blocking the sweep forever.
+    (``config.max_wall_seconds``) so a hung cell *fails* — into the
+    same retry / continue-on-error machinery — instead of blocking the
+    sweep forever.
     """
 
-    def __init__(self, spec, store, workers=None, force=False,
-                 max_retries=None, retry_backoff=CELL_RETRY_BACKOFF,
-                 continue_on_error=False, max_wall_seconds=None):
+    def __init__(self, spec, store, config=None, force=False,
+                 continue_on_error=False):
         self.spec = spec
         self.store = store
-        self.workers = spec.workers if workers is None else workers
-        self.max_retries = spec.max_retries if max_retries is None \
-            else max_retries
-        self.retry_backoff = retry_backoff
+        self.config = spec.engine if config is None else config
         self.continue_on_error = continue_on_error
-        self.max_wall_seconds = getattr(spec, "max_wall_seconds", None) \
-            if max_wall_seconds is None else max_wall_seconds
         self.runner = CachingRunner(store, force=force)
         self._kernels = {}    # name -> (function, memory_image, regs)
         self._variants = {}   # (name, harden, budget) -> variant dict
@@ -152,8 +145,8 @@ class SweepRunner:
             plan = _PLANNERS[cell.mode](variant["function"],
                                         variant["golden"],
                                         variant["bec"])
-            if self.spec.max_runs is not None:
-                plan = plan[:self.spec.max_runs]
+            if self.config.max_runs is not None:
+                plan = plan[:self.config.max_runs]
             self._plans[key] = plan
         return self._plans[key]
 
@@ -174,11 +167,8 @@ class SweepRunner:
         machine, plan, variant = self.cell_setup(cell)
         result = self.runner.run(
             machine, plan, regs=variant["regs"],
-            golden=variant["golden"], workers=self.workers,
-            checkpoint_interval=self.spec.checkpoint_interval or None,
-            prune=self.spec.prune, batch_lanes=self.spec.batch_lanes,
-            harden=cell.harden, budget=cell.budget, progress=progress,
-            chunk_size=self.spec.chunk_size)
+            golden=variant["golden"], config=self.config,
+            harden=cell.harden, budget=cell.budget, progress=progress)
         overhead = None
         if cell.harden != "none":
             base = self._variant(cell.kernel, "none", None)["golden"]
@@ -205,12 +195,12 @@ class SweepRunner:
         while True:
             try:
                 with wall_clock_deadline(
-                        self.max_wall_seconds,
+                        self.config.max_wall_seconds,
                         what=f"cell {cell.kernel}/{cell.mode}/"
                              f"{cell.harden}/{cell.core}"):
                     return self.run_cell(cell, progress=progress)
             except Exception as exc:
-                if attempt >= self.max_retries:
+                if attempt >= self.config.max_retries:
                     obs.logger().error(
                         "sweep.cell_failed", kernel=cell.kernel,
                         mode=cell.mode, harden=cell.harden,
@@ -225,7 +215,8 @@ class SweepRunner:
                         golden_cycles=None, overhead=None,
                         error=f"{type(exc).__name__}: {exc}")
                 attempt += 1
-                time.sleep(self.retry_backoff * (1 << (attempt - 1)))
+                time.sleep(self.config.retry_backoff
+                           * (1 << (attempt - 1)))
 
     def run(self, progress=None, run_progress=None):
         """Execute every cell.  ``progress(done, total, outcome)`` fires
@@ -268,14 +259,12 @@ class SweepRunner:
             metrics=registry.totals(registry.delta_since(mark)))
 
 
-def run_sweep(spec, store, workers=None, force=False, progress=None,
-              run_progress=None, max_retries=None,
-              continue_on_error=False, max_wall_seconds=None):
-    """Expand *spec*, execute/skip every cell, return the report."""
-    return SweepRunner(spec, store, workers=workers, force=force,
-                       max_retries=max_retries,
-                       continue_on_error=continue_on_error,
-                       max_wall_seconds=max_wall_seconds).run(
+def run_sweep(spec, store, config=None, force=False, progress=None,
+              run_progress=None, continue_on_error=False):
+    """Expand *spec*, execute/skip every cell under *config* (default
+    the spec's ``engine``), return the report."""
+    return SweepRunner(spec, store, config=config, force=force,
+                       continue_on_error=continue_on_error).run(
                            progress=progress, run_progress=run_progress)
 
 

@@ -14,8 +14,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.experiments.common import benchmark_run
 from repro.fi import batch
-from repro.fi.campaign import (PlannedRun, plan_bec, plan_exhaustive,
-                               run_campaign)
+from repro.fi.campaign import PlannedRun, plan_bec, plan_exhaustive
+from repro.fi.config import EngineConfig
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Injection, Machine, MemoryInjection
 from repro.fi.prune import LivenessPruner
@@ -62,7 +62,7 @@ class TestBatchedMachine:
         engine = CampaignEngine(motivating_batched, plan,
                                 golden=motivating_golden)
         with pytest.raises(SimulationError):
-            engine.run(batch_lanes=0)
+            engine.run(EngineConfig(batch_lanes=0))
 
     def test_invalid_site_fails_loudly(self, motivating_function,
                                        motivating_golden,
@@ -92,7 +92,7 @@ class TestBatchedEngineParity:
         plan, base = motivating_reference_result
         engine = CampaignEngine(motivating_batched, plan,
                                 golden=motivating_golden)
-        result = engine.run(**kwargs)
+        result = engine.run(EngineConfig(**kwargs))
         assert result.vectorized
         assert_identical(base, result)
 
@@ -109,8 +109,8 @@ class TestBatchedEngineParity:
                                 golden=run.golden)
         interval = max(1, run.golden.cycles // 16)
         assert_identical(base, engine.run())
-        assert_identical(base, engine.run(checkpoint_interval=interval,
-                                          workers=4, prune="liveness"))
+        assert_identical(base, engine.run(EngineConfig(
+            checkpoint_interval=interval, workers=4, prune="liveness")))
 
     def test_benchmark_bec_plan(self):
         """The BEC plan is the non-masked residue — dominated by
@@ -144,7 +144,7 @@ class TestBatchedEngineParity:
         engine = CampaignEngine(motivating_batched, plan,
                                 golden=motivating_golden)
         assert_identical(base, engine.run())
-        assert_identical(base, engine.run(checkpoint_interval=8))
+        assert_identical(base, engine.run(EngineConfig(checkpoint_interval=8)))
 
     def test_hardened_detected_class(self):
         """`check` traps (the hardened `detected` class) divergence-
@@ -179,8 +179,8 @@ class TestBatchedEngineParity:
         fallback = engine.run()
         assert not fallback.vectorized
         assert_identical(base, fallback)
-        assert_identical(base, engine.run(workers=4,
-                                          checkpoint_interval=8))
+        assert_identical(base, engine.run(
+            EngineConfig(workers=4, checkpoint_interval=8)))
 
 
 class TestLivenessPrune:
@@ -223,7 +223,7 @@ class TestLivenessPrune:
         machine = Machine(motivating_function, memory_size=256,
                           core=core)
         engine = CampaignEngine(machine, plan, golden=motivating_golden)
-        pruned = engine.run(prune="liveness")
+        pruned = engine.run(EngineConfig(prune="liveness"))
         assert pruned.pruned_runs > 0
         assert_identical(base, pruned)
 
@@ -232,10 +232,10 @@ class TestLivenessPrune:
         registers = run.function.registers()[::5]
         plan = strided_exhaustive_plan(run.function, run.golden, 389,
                                        registers, (5,))
-        base = run_campaign(run.machine, plan, regs=run.regs,
-                            golden=run.golden)
-        pruned = run_campaign(run.machine, plan, regs=run.regs,
-                              golden=run.golden, prune="liveness")
+        engine = CampaignEngine(run.machine, plan, regs=run.regs,
+                                golden=run.golden)
+        base = engine.run()
+        pruned = engine.run(EngineConfig(prune="liveness"))
         assert pruned.pruned_runs > 0
         assert_identical(base, pruned)
 
@@ -244,7 +244,7 @@ class TestLivenessPrune:
         machine = Machine(motivating_function, memory_size=256)
         engine = CampaignEngine(machine, [], golden=motivating_golden)
         with pytest.raises(SimulationError):
-            engine.run(prune="static")
+            engine.run(EngineConfig(prune="static"))
 
 
 class TestBatchedSampling:
@@ -257,11 +257,11 @@ class TestBatchedSampling:
         plain = estimate_avf(motivating_machine, motivating_function,
                              motivating_golden, 250, seed=13,
                              golden=motivating_golden, bec=bec,
-                             checkpoint_interval=8)
+                             config=EngineConfig(checkpoint_interval=8))
         batched = estimate_avf(motivating_batched, motivating_function,
                                motivating_golden, 250, seed=13,
                                golden=motivating_golden, bec=bec,
-                               checkpoint_interval=8)
+                               config=EngineConfig(checkpoint_interval=8))
         assert batched.avf == plain.avf
         assert batched.vulnerable == plain.vulnerable
         assert batched.simulator_runs == plain.simulator_runs

@@ -14,6 +14,7 @@ import pytest
 from repro.fi.campaign import plan_exhaustive
 from repro.fi.chaos import (ChaosError, ChaosPolicy, ChaosSink,
                             corrupt_chunk, drop_chunk, truncate_chunk)
+from repro.fi.config import EngineConfig
 from repro.fi.engine import CampaignEngine
 
 
@@ -99,8 +100,8 @@ class TestWorkerKill:
     def test_killed_worker_recovers_bit_identical(self, baseline):
         engine, base = baseline
         policy = ChaosPolicy().kill_worker(chunk=0, segment=1)
-        healed = engine.run(workers=4, chunk_size=16, chaos=policy,
-                            retry_backoff=0.01)
+        healed = engine.run(EngineConfig(workers=4, chunk_size=16,
+                                         retry_backoff=0.01), chaos=policy)
         assert engine.recoveries >= 1
         assert engine.serial_degraded_chunks == 0
         assert_identical(base, healed)
@@ -110,8 +111,8 @@ class TestWorkerKill:
         policy = (ChaosPolicy()
                   .kill_worker(chunk=0, segment=0)
                   .kill_worker(chunk=2, segment=3))
-        healed = engine.run(workers=4, chunk_size=16, chaos=policy,
-                            retry_backoff=0.01)
+        healed = engine.run(EngineConfig(workers=4, chunk_size=16,
+                                         retry_backoff=0.01), chaos=policy)
         assert engine.recoveries >= 2
         assert_identical(base, healed)
 
@@ -121,8 +122,9 @@ class TestWorkerKill:
         engine, base = baseline
         policy = ChaosPolicy().kill_worker(chunk=0, segment=0,
                                            attempt=None)
-        healed = engine.run(workers=2, chunk_size=16, chaos=policy,
-                            worker_retries=1, retry_backoff=0.01)
+        healed = engine.run(EngineConfig(workers=2, chunk_size=16,
+                                         worker_retries=1, retry_backoff=0.01),
+                            chaos=policy)
         assert engine.serial_degraded_chunks >= 1
         assert_identical(base, healed)
 
@@ -131,8 +133,8 @@ class TestWorkerKill:
         them when the respawned worker re-runs the remainder."""
         engine, base = baseline
         policy = ChaosPolicy().kill_worker(chunk=1, segment=4)
-        healed = engine.run(workers=2, chunk_size=16, chaos=policy,
-                            retry_backoff=0.01)
+        healed = engine.run(EngineConfig(workers=2, chunk_size=16,
+                                         retry_backoff=0.01), chaos=policy)
         assert engine.recoveries >= 1
         assert_identical(base, healed)
 
@@ -143,18 +145,19 @@ class TestSinkChaos:
         engine, base = baseline
         policy = ChaosPolicy().fail_sink(index=0)
         with pytest.raises(OSError):
-            engine.run(chunk_size=16, chaos=policy)
+            engine.run(EngineConfig(chunk_size=16), chaos=policy)
         assert policy.fired == 1
         # The teardown left no poisoned state behind: the same engine
         # immediately runs a clean campaign with identical aggregates.
-        assert_identical(base, engine.run(chunk_size=16))
+        assert_identical(base, engine.run(EngineConfig(chunk_size=16)))
 
     def test_failing_sink_with_workers_terminates(self, baseline):
         engine, base = baseline
         policy = ChaosPolicy().fail_sink(index=2)
         with pytest.raises(OSError):
-            engine.run(workers=4, chunk_size=16, chaos=policy)
-        assert_identical(base, engine.run(workers=4, chunk_size=16))
+            engine.run(EngineConfig(workers=4, chunk_size=16), chaos=policy)
+        assert_identical(base, engine.run(
+            EngineConfig(workers=4, chunk_size=16)))
 
 
 class TestStoreChaos:

@@ -9,7 +9,8 @@ on run order, per-run effects, ``effect_counts()``,
 import pytest
 
 from repro.errors import SimulationError
-from repro.fi.campaign import (plan_exhaustive, plan_bec, run_campaign)
+from repro.fi.campaign import plan_exhaustive, plan_bec
+from repro.fi.config import EngineConfig
 from repro.fi.engine import CampaignEngine, pick_snapshot
 from repro.fi.machine import Injection, Machine
 from repro.experiments.common import benchmark_run
@@ -103,8 +104,8 @@ class TestEngineParityMotivating:
                                                motivating_bec):
         plan = plan_bec(motivating_function, motivating_golden,
                         motivating_bec)
-        base = run_campaign(motivating_machine, plan,
-                            golden=motivating_golden)
+        base = CampaignEngine(motivating_machine, plan,
+                              golden=motivating_golden).run()
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
         assert_identical(base, engine.run())
@@ -120,7 +121,8 @@ class TestEngineParityMotivating:
         plan = plan_exhaustive(motivating_function, motivating_golden)
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
-        assert_identical(engine.run(), engine.run(**kwargs))
+        assert_identical(engine.run(),
+                         engine.run(EngineConfig(**kwargs)))
 
     def test_progress_callback(self, motivating_function,
                                motivating_machine, motivating_golden):
@@ -128,7 +130,7 @@ class TestEngineParityMotivating:
         seen = []
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
-        engine.run(workers=2, progress=lambda done, total:
+        engine.run(EngineConfig(workers=2), progress=lambda done, total:
                    seen.append((done, total)))
         assert seen[-1] == (len(plan), len(plan))
         assert [done for done, _ in seen] == sorted(done
@@ -157,10 +159,11 @@ class TestEngineParityBenchmarks:
                                 golden=run.golden)
         base = engine.run()
         interval = max(1, run.golden.cycles // 16)
-        assert_identical(base, engine.run(workers=4))
-        assert_identical(base, engine.run(checkpoint_interval=interval))
-        assert_identical(base, engine.run(workers=4,
-                                          checkpoint_interval=interval))
+        assert_identical(base, engine.run(EngineConfig(workers=4)))
+        assert_identical(base, engine.run(
+            EngineConfig(checkpoint_interval=interval)))
+        assert_identical(base, engine.run(
+            EngineConfig(workers=4, checkpoint_interval=interval)))
 
 
 class TestEngineParityAcrossCores:
@@ -180,13 +183,14 @@ class TestEngineParityAcrossCores:
         fast = CampaignEngine(fast_machine, plan,
                               golden=motivating_golden)
         assert_identical(base, fast.run())
-        assert_identical(base, fast.run(workers=4, checkpoint_interval=8))
+        assert_identical(base, fast.run(
+            EngineConfig(workers=4, checkpoint_interval=8)))
         batched = CampaignEngine(
             Machine(motivating_function, memory_size=256, core="batched"),
             plan, golden=motivating_golden)
         assert_identical(base, batched.run())
-        assert_identical(base, batched.run(workers=4,
-                                           checkpoint_interval=8))
+        assert_identical(base, batched.run(
+            EngineConfig(workers=4, checkpoint_interval=8)))
 
     def test_benchmark_campaign_identical_across_cores(self):
         run = benchmark_run("bitcount")
@@ -200,8 +204,8 @@ class TestEngineParityAcrossCores:
         fast = CampaignEngine(run.machine, plan, regs=run.regs,
                               golden=run.golden)
         interval = max(1, run.golden.cycles // 16)
-        assert_identical(base, fast.run(workers=4,
-                                        checkpoint_interval=interval))
+        assert_identical(base, fast.run(
+            EngineConfig(workers=4, checkpoint_interval=interval)))
 
 
 class TestHardenedEngineParity:
@@ -232,9 +236,9 @@ class TestHardenedEngineParity:
         base = engine.run()
         assert base.effect_counts()["detected"] > 0
         interval = max(1, golden.cycles // 16)
-        assert_identical(base, engine.run(workers=4))
-        assert_identical(base, engine.run(workers=4,
-                                          checkpoint_interval=interval))
+        assert_identical(base, engine.run(EngineConfig(workers=4)))
+        assert_identical(base, engine.run(
+            EngineConfig(workers=4, checkpoint_interval=interval)))
         reference = Machine(result.function, core="reference",
                             memory_image=run.machine.memory_image)
         reference_golden = reference.run(regs=run.regs)
@@ -261,8 +265,8 @@ class TestKillRecoveryParity:
                                 golden=motivating_golden)
         base = engine.run()
         policy = ChaosPolicy().kill_worker(chunk=1, segment=2)
-        healed = engine.run(workers=4, chunk_size=16, chaos=policy,
-                            retry_backoff=0.01)
+        healed = engine.run(EngineConfig(workers=4, chunk_size=16,
+                                         retry_backoff=0.01), chaos=policy)
         assert engine.recoveries >= 1
         assert_identical(base, healed)
 
@@ -278,9 +282,9 @@ class TestKillRecoveryParity:
         base = engine.run()
         interval = max(1, run.golden.cycles // 16)
         policy = ChaosPolicy().kill_worker(chunk=0, segment=0)
-        healed = engine.run(workers=4, chunk_size=8,
-                            checkpoint_interval=interval, chaos=policy,
-                            retry_backoff=0.01)
+        healed = engine.run(EngineConfig(workers=4, chunk_size=8,
+                                         checkpoint_interval=interval,
+                                         retry_backoff=0.01), chaos=policy)
         assert engine.recoveries >= 1
         assert_identical(base, healed)
 
@@ -297,7 +301,7 @@ class TestSamplingCheckpointParity:
         checked = estimate_avf(motivating_machine, motivating_function,
                                motivating_golden, 200, seed=7,
                                golden=motivating_golden,
-                               checkpoint_interval=8)
+                               config=EngineConfig(checkpoint_interval=8))
         assert checked.avf == plain.avf
         assert checked.vulnerable == plain.vulnerable
         assert (checked.low, checked.high) == (plain.low, plain.high)

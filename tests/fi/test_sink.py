@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.fi.campaign import plan_exhaustive
+from repro.fi.config import EngineConfig
 from repro.fi.engine import CampaignEngine
 from repro.fi.sink import (AggregateSink, ChunkAssembler, ProgressSink,
                            RunSink, SpoolSink, StridedUndealer, TeeSink)
@@ -236,9 +237,9 @@ class TestSpoolSink:
                                 golden=motivating_golden)
         exploding = ExplodingSink()
         with pytest.raises(OSError):
-            engine.run(chunk_size=16, sink=exploding)
+            engine.run(EngineConfig(chunk_size=16), sink=exploding)
         assert exploding.aborted
-        result = engine.run(chunk_size=16)
+        result = engine.run(EngineConfig(chunk_size=16))
         assert len(result.runs) == len(plan)
 
 
@@ -291,7 +292,7 @@ class TestStreamingParity:
         plan = plan_exhaustive(motivating_function, motivating_golden)
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
-        return engine, engine.run(chunk_size=len(plan))
+        return engine, engine.run(EngineConfig(chunk_size=len(plan)))
 
     @pytest.mark.parametrize("kwargs", [
         {"chunk_size": 1},
@@ -304,12 +305,12 @@ class TestStreamingParity:
     ])
     def test_chunked_equals_unchunked(self, campaign, kwargs):
         engine, base = campaign
-        assert_identical(base, engine.run(**kwargs))
+        assert_identical(base, engine.run(EngineConfig(**kwargs)))
 
     def test_invalid_chunk_size(self, campaign):
         engine, _ = campaign
         with pytest.raises(SimulationError):
-            engine.run(chunk_size=0)
+            engine.run(EngineConfig(chunk_size=0))
 
     def test_user_sink_sees_plan_ordered_stream(
             self, motivating_function, motivating_machine,
@@ -318,8 +319,8 @@ class TestStreamingParity:
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
         sink = RecordingSink()
-        result = engine.run(workers=2, chunk_size=50, sink=sink,
-                            prune="liveness")
+        result = engine.run(EngineConfig(workers=2, chunk_size=50,
+                                         prune="liveness"), sink=sink)
         assert sink.meta["total_runs"] == len(plan)
         assert sink.meta["pruned_runs"] == result.pruned_runs
         assert sink.summary == {"wall_time": result.wall_time}
@@ -344,7 +345,8 @@ class TestBoundedMemory:
     def _peak(self, machine, golden, plan, chunk_size):
         engine = CampaignEngine(machine, plan, golden=golden)
         tracemalloc.start()
-        result = engine.run(checkpoint_interval=8, chunk_size=chunk_size)
+        result = engine.run(EngineConfig(checkpoint_interval=8,
+                                         chunk_size=chunk_size))
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         return peak, result

@@ -21,6 +21,7 @@ import pytest
 
 from repro.fi import batch
 from repro.fi.campaign import PlannedRun
+from repro.fi.config import EngineConfig
 from repro.fi.engine import CampaignEngine, pick_snapshot
 from repro.fi.machine import Injection, Machine, MemoryInjection
 from repro.ir.randgen import GeneratorConfig, generate_function, random_inputs
@@ -213,7 +214,7 @@ def _random_plan(rng, function, golden, memory_faults=False):
 
 def _campaign_records(machine, plan, regs, golden, **kwargs):
     result = CampaignEngine(machine, plan, regs=regs,
-                            golden=golden).run(**kwargs)
+                            golden=golden).run(EngineConfig(**kwargs))
     return [(effect, signature) for _, effect, signature in result.runs]
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.fi.campaign import (EFFECT_CLASSES, EFFECT_DETECTED, EFFECT_SDC,
                                classify_effect)
+from repro.fi.config import EngineConfig
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Injection, Machine
 from repro.fi.trace import TRAP_DETECTED
@@ -143,7 +144,7 @@ class TestCampaignAggregates:
         _, machine, golden, mapped = hardened_setup
         engine = CampaignEngine(machine, mapped, golden=golden)
         serial = engine.run()
-        parallel = engine.run(workers=4, checkpoint_interval=8)
+        parallel = engine.run(EngineConfig(workers=4, checkpoint_interval=8))
         assert [record[1:] for record in serial.runs] \
             == [record[1:] for record in parallel.runs]
         assert serial.effect_counts() == parallel.effect_counts()
@@ -159,7 +160,7 @@ class TestCampaignAggregates:
         base = CampaignEngine(reference_machine, mapped,
                               golden=reference_golden).run()
         fast = CampaignEngine(machine, mapped, golden=golden).run(
-            workers=4, checkpoint_interval=8)
+            EngineConfig(workers=4, checkpoint_interval=8))
         assert [record[1:] for record in base.runs] \
             == [record[1:] for record in fast.runs]
         assert base.effect_counts() == fast.effect_counts()

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.service.auth import Authenticator
 from repro.service.httpd import (Dispatcher, HTTPError, Request,
                                  Response, Router, asgi_app)
@@ -111,6 +112,17 @@ class TestDispatcher:
                           headers={"x-api-key": "k1"})
         result = run(make_dispatcher().dispatch(request))
         assert result.status == 500
+
+    def test_500_body_is_an_opaque_error_id(self):
+        request = Request("GET", "/boom",
+                          headers={"x-api-key": "k1"})
+        result = run(make_dispatcher().dispatch(request))
+        assert result.status == 500
+        body = json.loads(result.body)
+        assert "division" not in result.body.decode()
+        logged = obs.logger().events(name="service.handler_error")[-1]
+        assert "division by zero" in logged["fields"]["error"]
+        assert body["error_id"] == logged["fields"]["error_id"]
 
     def test_async_handlers_awaited(self):
         request = Request("GET", "/async",

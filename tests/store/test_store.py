@@ -5,6 +5,7 @@ import pytest
 from repro.bec.analysis import run_bec
 from repro.bench.motivating import count_years
 from repro.fi.campaign import plan_bec, plan_exhaustive
+from repro.fi.config import EngineConfig
 from repro.fi.machine import Machine
 from repro.store import CachingRunner, ResultStore
 from repro.store.db import decode_result, encode_result
@@ -97,8 +98,9 @@ class TestCachingRunner:
                                          golden):
         runner = CachingRunner(store)
         serial = runner.run(machine, plan, golden=golden)
-        parallel = runner.run(machine, plan, golden=golden, workers=2,
-                              checkpoint_interval=8)
+        parallel = runner.run(machine, plan, golden=golden,
+                              config=EngineConfig(workers=2,
+                                                  checkpoint_interval=8))
         assert parallel.cached
         assert_same_aggregates(serial, parallel)
         assert len(store) == 1
@@ -125,12 +127,14 @@ class TestCachingRunner:
             self, store, machine, plan, golden):
         runner = CachingRunner(store)
         plain = runner.run(machine, plan, golden=golden)
-        pruned = runner.run(machine, plan, golden=golden,
-                            prune="liveness")
+        pruned = runner.run(machine, plan,
+                            config=EngineConfig(prune="liveness"),
+                            golden=golden)
         assert runner.misses == 2
         assert pruned.effect_counts() == plain.effect_counts()
-        cached = runner.run(machine, plan, golden=golden,
-                            prune="liveness")
+        cached = runner.run(machine, plan,
+                            config=EngineConfig(prune="liveness"),
+                            golden=golden)
         assert cached.cached
         assert cached.pruned_runs == pruned.pruned_runs
         assert runner.simulator_runs \
@@ -247,8 +251,9 @@ class TestIntegrity:
 
     def _populate(self, store, machine, plan, golden, chunk_size=7):
         runner = CachingRunner(store)
-        fresh = runner.run(machine, plan, golden=golden,
-                           chunk_size=chunk_size)
+        fresh = runner.run(machine, plan,
+                           config=EngineConfig(chunk_size=chunk_size),
+                           golden=golden)
         return fresh, runner.key_for(machine, plan)
 
     def test_chunks_carry_digests(self, store, machine, plan, golden):
@@ -273,8 +278,9 @@ class TestIntegrity:
         assert store.quarantined() == [(key, 1, "digest mismatch")]
         # The clean miss makes the caching runner re-execute; the
         # rewrite replaces the damaged archive and clears quarantine.
-        rerun = CachingRunner(store).run(machine, plan, golden=golden,
-                                         chunk_size=7)
+        rerun = CachingRunner(store).run(machine, plan,
+                                         config=EngineConfig(chunk_size=7),
+                                         golden=golden)
         assert not rerun.cached
         assert_same_aggregates(fresh, rerun)
         assert store.quarantined() == []
@@ -327,7 +333,8 @@ class TestIntegrity:
         _, key = self._populate(store, machine, plan, golden)
         other = plan_exhaustive(function, golden)[:40]
         runner = CachingRunner(store)
-        runner.run(machine, other, golden=golden, chunk_size=7)
+        runner.run(machine, other, config=EngineConfig(chunk_size=7),
+                   golden=golden)
         corrupt_chunk(store, key, chunk_index=2)
         with pytest.warns(RuntimeWarning):
             report = store.verify()
@@ -440,7 +447,8 @@ class TestStoreKnobs:
         from repro.fi.chaos import corrupt_chunk
 
         runner = CachingRunner(store)
-        runner.run(machine, plan, golden=golden, chunk_size=7)
+        runner.run(machine, plan, config=EngineConfig(chunk_size=7),
+                   golden=golden)
         key = runner.key_for(machine, plan)
         corrupt_chunk(store, key, chunk_index=1)
         with pytest.warns(RuntimeWarning):

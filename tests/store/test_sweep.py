@@ -1,5 +1,6 @@
 """Tests for the sweep spec and orchestrator (repro.store.sweep)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -63,8 +64,8 @@ class TestSpec:
         assert spec.modes == ["bec"]
         assert spec.harden == ["none"]
         assert spec.cores == ["threaded"]
-        assert spec.workers == 1
-        assert spec.max_runs is None
+        assert spec.engine.workers == 1
+        assert spec.engine.max_runs is None
 
     def test_budget_collapses_for_unhardened_cells(self):
         spec = parse_spec({"grid": {
@@ -138,7 +139,7 @@ class TestSpec:
         spec = load_spec(str(path))
         assert spec.kernels == ["bitcount"]
         assert spec.modes == ["bec", "ior"]
-        assert spec.max_runs == 10
+        assert spec.engine.max_runs == 10
         assert spec.name == "grid"
 
 
@@ -265,9 +266,9 @@ class TestSweepResilience:
     def test_spec_parses_max_retries(self):
         spec = parse_spec({"grid": {"kernels": ["bitcount"]},
                            "engine": {"max_retries": 2}})
-        assert spec.max_retries == 2
+        assert spec.engine.max_retries == 2
         assert parse_spec(
-            {"grid": {"kernels": ["bitcount"]}}).max_retries == 0
+            {"grid": {"kernels": ["bitcount"]}}).engine.max_retries == 0
         with pytest.raises(SweepSpecError):
             parse_spec({"grid": {"kernels": ["bitcount"]},
                         "engine": {"max_retries": -1}})
@@ -286,7 +287,8 @@ class TestSweepResilience:
             return original(self, cell, progress=progress)
 
         monkeypatch.setattr(SweepRunner, "run_cell", flaky)
-        report = run_sweep(spec, store, max_retries=2)
+        report = run_sweep(spec, store, config=dataclasses.replace(
+            spec.engine, max_retries=2))
         assert len(calls) == 2
         assert report.cells_failed == 0
         assert report.cells_run == 1
@@ -295,7 +297,8 @@ class TestSweepResilience:
     def test_exhausted_retries_raise_by_default(self, store):
         spec = spec_for(["not-a-kernel"], max_runs=10)
         with pytest.raises(KeyError):
-            run_sweep(spec, store, max_retries=1)
+            run_sweep(spec, store, config=dataclasses.replace(
+                spec.engine, max_retries=1))
 
     def test_continue_on_error_reports_failed_cells(self, tiny_ir,
                                                     store):
@@ -340,9 +343,9 @@ class TestCellDeadline:
     def test_spec_parses_max_wall_seconds(self):
         spec = parse_spec({"grid": {"kernels": ["bitcount"]},
                            "engine": {"max_wall_seconds": 300}})
-        assert spec.max_wall_seconds == 300.0
+        assert spec.engine.max_wall_seconds == 300.0
         assert parse_spec(
-            {"grid": {"kernels": ["bitcount"]}}).max_wall_seconds \
+            {"grid": {"kernels": ["bitcount"]}}).engine.max_wall_seconds \
             is None
 
     @pytest.mark.parametrize("bad", [0, -5, "soon"])
@@ -356,9 +359,10 @@ class TestCellDeadline:
 
         spec = parse_spec({"grid": {"kernels": ["bitcount"]},
                            "engine": {"max_wall_seconds": 300}})
-        assert SweepRunner(spec, store).max_wall_seconds == 300.0
-        assert SweepRunner(
-            spec, store, max_wall_seconds=1.5).max_wall_seconds == 1.5
+        assert SweepRunner(spec, store).config.max_wall_seconds == 300.0
+        assert SweepRunner(spec, store, config=dataclasses.replace(
+            spec.engine, max_wall_seconds=1.5)).config.max_wall_seconds \
+            == 1.5
 
     def test_hanging_cell_times_out_as_a_cell_failure(
             self, tiny_ir, store, monkeypatch):
@@ -376,6 +380,7 @@ class TestCellDeadline:
         monkeypatch.setattr(SweepRunner, "run_cell", hang)
         spec = spec_for([tiny_ir], max_runs=10)
         report = run_sweep(spec, store, continue_on_error=True,
-                           max_wall_seconds=0.2)
+                           config=dataclasses.replace(
+                               spec.engine, max_wall_seconds=0.2))
         assert report.cells_failed == 1
         assert "CellTimeout" in report.outcomes[0].error
