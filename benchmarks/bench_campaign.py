@@ -18,16 +18,17 @@ aggregates asserted on every row:
 
 Two plan families per kernel:
 
-* ``exhaustive`` — a cycle-strided slice of the full register-file
-  sweep (the paper's Table I workload).  Masked faults dominate, so
-  almost every lane retires on the vector path: **this family carries
-  the >= 4x geomean gate** (>= 2x in ``--smoke`` CI mode).
-* ``bec`` — the BEC-pruned plan (Table III workload), reported but
-  *not* gated.  BEC planning already removed the coalescable masked
-  sites, so this family is dominated by genuinely divergent runs that
-  must execute their own (non-golden) paths on the scalar core —
-  Amdahl caps the lockstep win at the masked/on-path fraction
-  (measured ~1-2x on one core).  The honest conclusion: SIMD-across-
+* ``exhaustive`` — a cycle-stratified sample (``Plan.sample``) of the
+  full register-file sweep (the paper's Table I workload).  Masked
+  faults dominate, so almost every lane retires on the vector path:
+  **this family carries the >= 4x geomean gate** (>= 2x in ``--smoke``
+  CI mode).
+* ``bec`` — a sample of the BEC-pruned plan (Table III workload),
+  reported but *not* gated.  BEC planning already removed the
+  coalescable masked sites, so this family is dominated by genuinely
+  divergent runs that must execute their own (non-golden) paths on
+  the scalar core — Amdahl caps the lockstep win at the masked/on-path
+  fraction (measured ~1-2x on one core).  The honest conclusion: SIMD-across-
   faults accelerates the *raw sweep* workloads, and composes with —
   rather than replaces — the analytical pruning of the paper.
 
@@ -60,9 +61,9 @@ PROGRAMS = ("bitcount", "dijkstra", "CRC32", "AES", "RSA", "SHA")
 #: Kernels the CI smoke gate runs on (fast, stable speedups).
 SMOKE_PROGRAMS = ("bitcount", "CRC32", "SHA")
 
-#: Target plan sizes per (family, mode).  Slices are cycle-strided so
-#: injections span the whole trace.  RSA's trace is tiny (693 cycles),
-#: so it gets a larger slice for stable timings.
+#: Target plan sizes per (family, mode).  Samples are cycle-stratified
+#: so injections span the whole trace.  RSA's trace is tiny (693
+#: cycles), so it gets a larger sample for stable timings.
 TARGET_RUNS = {
     ("exhaustive", "full"): 3000,
     ("exhaustive", "smoke"): 500,
@@ -89,11 +90,6 @@ def prepare(name):
                       memory_image=program.memory_image, core="batched")
     golden = threaded.run(regs=regs)
     return program.function, threaded, batched, regs, golden
-
-
-def sliced(plan, target):
-    stride = max(1, len(plan) // target)
-    return plan[::stride]
 
 
 def interval_for(golden):
@@ -126,7 +122,7 @@ def bench_row(name, family, mode):
     target = TARGET_RUNS[(family, mode)]
     if name == "RSA":
         target *= RSA_SCALE
-    plan = sliced(full_plan, target)
+    plan = full_plan.sample(target)
     interval = interval_for(golden)
 
     base, serial_s = timed(lambda: CampaignEngine(
@@ -182,8 +178,8 @@ def obs_overhead_smoke(name="bitcount", repeats=5):
     """Tracer-enabled vs tracer-disabled wall time on one exhaustive
     smoke row, interleaved min-of-``repeats`` so clock drift cancels."""
     function, threaded, _, regs, golden = prepare(name)
-    plan = sliced(plan_exhaustive(function, golden),
-                  TARGET_RUNS[("exhaustive", "smoke")])
+    plan = plan_exhaustive(function, golden).sample(
+        TARGET_RUNS[("exhaustive", "smoke")])
     interval = interval_for(golden)
     engine = CampaignEngine(threaded, plan, regs=regs, golden=golden)
     checkpointed = EngineConfig(checkpoint_interval=interval)

@@ -2,9 +2,9 @@
 
 Compiles the CRC32 benchmark from mini-C source, derives both the
 value-level inject-on-read plan and the BEC bit-level plan, executes a
-slice of each against the simulator, and shows that the pruned campaign
-reaches the same per-site verdicts with fewer runs — the paper's "no
-loss of accuracy" claim, live.
+cycle-stratified sample of each against the simulator, and shows that
+the pruned campaign reaches the same per-site verdicts with fewer runs
+— the paper's "no loss of accuracy" claim, live.
 
 Run with::
 
@@ -13,13 +13,12 @@ Run with::
 
 from repro.bench.programs import compile_benchmark, get_benchmark
 from repro.bec import run_bec
-from repro.fi import (Machine, fault_injection_accounting, plan_bec,
-                      plan_inject_on_read)
+from repro.fi import Machine, plan_bec, plan_inject_on_read
 from repro.fi.engine import CampaignEngine
 
 #: How many planned runs of each campaign to actually execute here
 #: (the full campaigns take minutes; the accounting covers them all).
-EXECUTED_SLICE = 400
+EXECUTED_SAMPLE = 400
 
 
 def main():
@@ -33,7 +32,8 @@ def main():
           f"{golden.cycles} cycles, crc = {golden.outputs[0]:#010x}\n")
 
     bec = run_bec(program.function)
-    accounting = fault_injection_accounting(program.function, golden, bec)
+    bit_plan = plan_bec(program.function, golden, bec)
+    accounting = bit_plan.accounting()      # the plan's own walk
     print("Campaign sizes derived from the analysis:")
     print(f"  inject-on-read : {accounting['live_in_values']:7d} runs")
     print(f"  BEC bit-level  : {accounting['live_in_bits']:7d} runs")
@@ -44,17 +44,18 @@ def main():
     print(f"  pruned         : {accounting['pruned_percent']:.2f} %\n")
 
     value_plan = plan_inject_on_read(program.function, golden)
-    bit_plan = plan_bec(program.function, golden, bec)
     regs = program.initial_regs(*spec.args)
 
-    print(f"Executing the first {EXECUTED_SLICE} runs of each plan...")
-    value_result = CampaignEngine(machine, value_plan[:EXECUTED_SLICE],
-                                  regs=regs, golden=golden).run()
-    bit_result = CampaignEngine(machine, bit_plan[:EXECUTED_SLICE],
-                                regs=regs, golden=golden).run()
-    print(f"  value-level slice: {value_result.effect_counts()} "
+    print(f"Executing a {EXECUTED_SAMPLE}-run sample of each plan...")
+    value_result = CampaignEngine(
+        machine, value_plan.sample(EXECUTED_SAMPLE), regs=regs,
+        golden=golden).run()
+    bit_result = CampaignEngine(
+        machine, bit_plan.sample(EXECUTED_SAMPLE), regs=regs,
+        golden=golden).run()
+    print(f"  value-level sample: {value_result.effect_counts()} "
           f"in {value_result.wall_time:.2f}s")
-    print(f"  bit-level slice  : {bit_result.effect_counts()} "
+    print(f"  bit-level sample  : {bit_result.effect_counts()} "
           f"in {bit_result.wall_time:.2f}s")
     print(f"  distinguishable traces archived: "
           f"{value_result.distinct_traces} vs "

@@ -71,7 +71,8 @@ from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
 from repro.fi.memory import (memory_fault_accounting, plan_memory_bec,
                              plan_memory_inject_on_read)
-from repro.fi.sampling import estimate_avf
+from repro.fi.sampling import (effect_intervals, estimate_avf,
+                               format_intervals)
 from repro.fi.validate import validate_bec
 from repro.ir.parser import parse_function
 from repro.ir.printer import format_function
@@ -251,16 +252,19 @@ def cmd_campaign(options):
     bec = run_bec(program.function)
     if options.mode == "bec":
         plan = plan_bec(program.function, golden, bec)
-    elif options.mode == "ior":
-        plan = plan_inject_on_read(program.function, golden)
+        accounting = plan.accounting()      # same walk as the plan
     else:
-        plan = plan_exhaustive(program.function, golden)
-    accounting = fault_injection_accounting(program.function, golden, bec)
+        if options.mode == "ior":
+            plan = plan_inject_on_read(program.function, golden)
+        else:
+            plan = plan_exhaustive(program.function, golden)
+        accounting = fault_injection_accounting(program.function, golden,
+                                                bec)
     print(f"golden trace: {golden.cycles} cycles ({options.core} core)")
     print(f"plan ({options.mode}): {len(plan)} fault-injection runs")
     print(f"accounting: {accounting}")
     if options.execute:
-        slice_ = plan[:options.execute]
+        sample = plan.sample(options.execute)
         progress = None
         if options.progress:
             # \r-rewriting garbles piped/teed output; only a real
@@ -281,14 +285,14 @@ def cmd_campaign(options):
             with ResultStore(options.store) as store:
                 runner = CachingRunner(store)
                 result = runner.run(
-                    machine, slice_, regs=regs, golden=golden,
+                    machine, sample, regs=regs, golden=golden,
                     config=config, harden=options.harden,
                     budget=options.budget, progress=progress)
             if result.cached:
                 print(f"store hit: replayed archived aggregates from "
                       f"{options.store}")
         else:
-            result = CampaignEngine(machine, slice_, regs=regs,
+            result = CampaignEngine(machine, sample, regs=regs,
                                     golden=golden).run(
                                         config, progress=progress)
         if options.progress and sys.stderr.isatty():
@@ -302,10 +306,18 @@ def cmd_campaign(options):
         if config.prune != "none":
             mode += (f", prune={config.prune} "
                      f"({result.pruned_runs} runs pre-classified)")
-        print(f"executed {len(slice_)} runs ({mode}) in "
+        print(f"executed {len(sample)} runs ({mode}) in "
               f"{result.wall_time:.2f}s: {result.effect_counts()}")
         print(f"distinguishable traces: {result.distinct_traces} "
               f"({result.archived_bytes} bytes archived)")
+        fraction = sample.sample_fraction
+        if fraction < 1:
+            print(f"sample: {len(sample)} of {len(plan)} planned runs "
+                  f"({fraction:.2%}, cycle-stratified); 95% Wilson "
+                  f"intervals: " + format_intervals(effect_intervals(
+                      result.effect_counts(), len(sample), fraction)))
+        else:
+            print("sample: the whole plan (effect rates are exact)")
     return 0
 
 
@@ -512,9 +524,11 @@ def cmd_sweep(options):
                 label = "run "
             budget = "" if cell.budget is None \
                 else f" budget={cell.budget:.2f}"
+            sample = "" if outcome.sample_fraction >= 1 else \
+                f", a {outcome.sample_fraction:.2%} sample"
             print(f"  [{done}/{total}] {label} {cell.kernel} "
                   f"mode={cell.mode} harden={cell.harden}{budget} "
-                  f"core={cell.core} ({outcome.plan_runs} runs)",
+                  f"core={cell.core} ({outcome.plan_runs} runs{sample})",
                   file=sys.stderr)
     with ResultStore(options.store) as store:
         try:
@@ -921,7 +935,9 @@ def build_parser():
                           "'batched' runs the campaign SIMD-across-"
                           "faults with NumPy lockstep lanes)")
     sub.add_argument("--execute", type=int, default=0,
-                     help="execute the first N planned runs")
+                     help="execute a deterministic, cycle-stratified "
+                          "sample of N planned runs (the whole plan when "
+                          "N covers it)")
     add_engine_arguments(sub, ("workers", "checkpoint_interval", "prune",
                                "batch_lanes", "chunk_size"))
     sub.add_argument("--progress", action="store_true",

@@ -121,7 +121,9 @@ def commit_envelope(store, queue, envelope, chunks, secret=None):
     outcome = queue.complete(envelope.lease_token,
                              result_key=envelope.result_key,
                              cached=envelope.cached,
-                             sim_runs=sim_runs)
+                             sim_runs=sim_runs,
+                             sample_fraction=envelope.meta.get(
+                                 "sample_fraction", 1.0))
     status = "committed" if outcome == "done" else outcome
     obs.logger().info("dist.cell_committed", cell=envelope.cell_id,
                       worker=envelope.worker, status=status,

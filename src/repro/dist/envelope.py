@@ -92,7 +92,8 @@ class ResultEnvelope:
 
     ``meta`` is the aggregate payload the store's meta row needs
     (effect counts, vulnerable runs, trace sizes as hex->bytes,
-    ``pruned_runs``, ``vectorized``, ``wall_time``, ``chunk_size``) so
+    ``pruned_runs``, ``vectorized``, ``wall_time``, ``chunk_size``,
+    plus the plan's ``sample_fraction`` for the queue row) so
     the commit path can archive without decoding a single chunk.
     """
 

@@ -85,7 +85,8 @@ CREATE TABLE IF NOT EXISTS dist_queue (
     result_key    TEXT,
     last_error    TEXT,
     cached        INTEGER NOT NULL DEFAULT 0,
-    sim_runs      INTEGER NOT NULL DEFAULT 0
+    sim_runs      INTEGER NOT NULL DEFAULT 0,
+    sample_fraction REAL NOT NULL DEFAULT 1.0
 );
 CREATE INDEX IF NOT EXISTS dist_queue_state
     ON dist_queue (state, lease_expires);
@@ -162,16 +163,17 @@ class WorkQueue:
 
         ``CREATE TABLE IF NOT EXISTS`` leaves old tables alone, so the
         completion-accounting columns (``cached``, ``sim_runs`` —
-        added for the campaign service's per-submission run counts)
-        are retrofitted with ``ALTER TABLE``; old rows read as
-        uncached / zero runs, which only over-counts on reports that
-        span the upgrade.
+        added for the campaign service's per-submission run counts —
+        and ``sample_fraction``) are retrofitted with ``ALTER TABLE``;
+        old rows read as uncached / zero runs / whole plans, which only
+        over-counts on reports that span the upgrade.
         """
         present = {row[1] for row in self._connection.execute(
             "PRAGMA table_info(dist_queue)")}
         for column, declaration in (
                 ("cached", "INTEGER NOT NULL DEFAULT 0"),
-                ("sim_runs", "INTEGER NOT NULL DEFAULT 0")):
+                ("sim_runs", "INTEGER NOT NULL DEFAULT 0"),
+                ("sample_fraction", "REAL NOT NULL DEFAULT 1.0")):
             if column not in present:
                 self._connection.execute(
                     f"ALTER TABLE dist_queue "
@@ -311,7 +313,7 @@ class WorkQueue:
     # -- completion --------------------------------------------------------
 
     def complete(self, token, result_key=None, cached=False,
-                 sim_runs=0):
+                 sim_runs=0, sample_fraction=1.0):
         """Mark the leased cell done — token-guarded.
 
         Returns ``"done"`` when this call retired the cell, or
@@ -324,15 +326,18 @@ class WorkQueue:
         served from the content-addressed store, or executed with this
         many simulator runs — so per-submission accounting (the
         campaign service's ``totals.simulator_runs``) can be derived
-        from queue state alone.
+        from queue state alone.  *sample_fraction* is the share of the
+        cell's full plan the result covers (below 1 for a capped cell,
+        see :meth:`repro.fi.campaign.Plan.sample`).
         """
         cursor = self._connection.execute(
             "UPDATE dist_queue SET state = 'done', completed_at = ?, "
             "result_key = ?, cached = ?, sim_runs = ?, "
+            "sample_fraction = ?, "
             "lease_token = NULL, lease_expires = NULL "
             "WHERE lease_token = ? AND state = 'leased'",
             (self.now(), result_key, 1 if cached else 0,
-             int(sim_runs), token))
+             int(sim_runs), float(sample_fraction), token))
         if cursor.rowcount:
             obs.metrics().counter("dist.completions").inc()
             return "done"
@@ -487,12 +492,14 @@ class WorkQueue:
         for row in self._connection.execute(
                 f"SELECT cell_id, spec_digest, cell, state, attempts, "
                 f"worker, result_key, last_error, cached, sim_runs, "
-                f"completed_at FROM dist_queue WHERE 1=1{scope} "
+                f"completed_at, sample_fraction "
+                f"FROM dist_queue WHERE 1=1{scope} "
                 f"ORDER BY enqueued_at, cell_id", params):
             rows.append({"cell_id": row[0], "spec_digest": row[1],
                          "cell": _decode_cell(row[2]), "state": row[3],
                          "attempts": row[4], "worker": row[5],
                          "result_key": row[6], "last_error": row[7],
                          "cached": bool(row[8]), "sim_runs": row[9],
-                         "completed_at": row[10]})
+                         "completed_at": row[10],
+                         "sample_fraction": row[11]})
         return rows

@@ -250,6 +250,7 @@ class DistWorker:
             "wall_time": result.wall_time,
             "chunk_size": (capture.meta or {}).get(
                 "chunk_size", config.chunk_size),
+            "sample_fraction": plan.sample_fraction,
         }
         from repro.store.db import chunk_digest
 

@@ -10,14 +10,29 @@ Three campaign granularities, matching the paper's comparison:
 * :func:`plan_bec` — the pruned plan: one injection per non-masked
   equivalence class per epoch ("Live in bits").
 
+Each returns a :class:`Plan`: a lazy, read-only sequence of
+:class:`PlannedRun` in trace-cycle order.  Exhaustive and
+inject-on-read plans are arithmetic index maps over the golden trace;
+a BEC plan keeps only the emitting cycles of one compiled walk
+(:class:`repro.fi.accounting.BecTables`).  A ``PlannedRun`` is built
+only when an entry is read, so a plan costs O(trace), not O(plan).
+:meth:`Plan.sample` draws a deterministic, cycle-stratified sample —
+how a campaign, a sweep cell or a benchmark is capped (statistical
+fault injection, Leveugle et al., DATE 2009); Table IV's
+:func:`repro.harden.evaluate.strided_plan` is an evenly strided slice
+instead.
+
 :class:`repro.fi.engine.CampaignEngine` executes a plan against the
 machine and classifies each run against the golden trace.
 """
 
+from abc import abstractmethod
+from bisect import bisect_right
 from collections import namedtuple
+from collections.abc import Sequence
 
 from repro.ir.liveness import compute_liveness
-from repro.fi.accounting import iter_bit_instances
+from repro.fi.accounting import BecTables
 from repro.fi.machine import Injection, Machine
 from repro.fi.trace import OUTCOME_OK, OUTCOME_TRAP, TRAP_DETECTED
 
@@ -38,41 +53,231 @@ EFFECT_CLASSES = (EFFECT_MASKED, EFFECT_SDC, EFFECT_DETECTED, EFFECT_TRAP,
                   EFFECT_TIMEOUT, EFFECT_BENIGN)
 
 
+class Plan(Sequence):
+    """A fault plan: ``len``, indexing, slicing (a :class:`SubPlan`),
+    iteration and :meth:`sample`, with entries built on access.
+
+    Subclasses provide ``__len__``, :meth:`row` and :meth:`rows`.
+    """
+
+    @abstractmethod
+    def row(self, index):
+        """The ``(cycle, reg, bit, pp, rep, epoch)`` tuple of the entry
+        at the non-negative *index*."""
+
+    @abstractmethod
+    def rows(self):
+        """Every entry's row, in plan order."""
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._subset(range(len(self))[index])
+        length = len(self)
+        if index < 0:
+            index += length
+        if not 0 <= index < length:
+            raise IndexError("plan index out of range")
+        return _planned(self.row(index))
+
+    def __iter__(self):
+        return map(_planned, self.rows())
+
+    def __repr__(self):
+        return f"<{type(self).__name__} of {len(self)} runs>"
+
+    def __eq__(self, other):
+        """Entry-wise, against any plan, list or tuple of runs."""
+        if not isinstance(other, (Plan, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and \
+            all(mine == theirs for mine, theirs in zip(self, other))
+
+    __hash__ = None
+
+    @property
+    def sample_fraction(self):
+        """Share of the planned population this plan executes."""
+        return 1.0
+
+    def _subset(self, indices):
+        return SubPlan(self, indices)
+
+    def sample(self, n):
+        """A deterministic, cycle-stratified sample of *n* entries.
+
+        The plan is cut into *n* strata of consecutive entries (entries
+        are in cycle order, so each stratum is a stretch of the trace)
+        and one entry is drawn from each, so every entry has the same
+        inclusion probability and the sample spans the whole trace.
+        The draw is a fixed integer hash of the stratum number, so a
+        sample (and its content address) is the same on every
+        interpreter.  With ``n >= len(self)`` the sample is the plan
+        itself.
+        """
+        length = len(self)
+        if n >= length:
+            return self
+        picks = []
+        for stratum in range(n):
+            low = stratum * length // n
+            high = (stratum + 1) * length // n
+            picks.append(low + _splitmix64(stratum) % (high - low))
+        return self._subset(picks)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(value):
+    """The SplitMix64 output for state *value*: a fixed, well-mixed
+    64-bit hash of a non-negative integer."""
+    value = (value + 0x9E3779B97F4A7C15) & _MASK64
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return value ^ (value >> 31)
+
+
+def _planned(row):
+    cycle, reg, bit, pp, rep, epoch = row
+    return PlannedRun(Injection(cycle, reg, bit), pp, rep, epoch)
+
+
+class SubPlan(Plan):
+    """The entries of *parent* at *indices* (a range or a list)."""
+
+    def __init__(self, parent, indices):
+        self.parent = parent
+        self.indices = indices
+
+    def __len__(self):
+        return len(self.indices)
+
+    def row(self, index):
+        return self.parent.row(self.indices[index])
+
+    def rows(self):
+        return map(self.parent.row, self.indices)
+
+    @property
+    def sample_fraction(self):
+        population = len(self.parent)
+        return len(self) / population if population else 1.0
+
+    def _subset(self, indices):
+        return SubPlan(self.parent, [self.indices[index]
+                                     for index in indices])
+
+
+class ExhaustivePlan(Plan):
+    """Every (cycle, register, bit) of the register file."""
+
+    def __init__(self, function, trace, registers=None):
+        self.executed = trace.executed
+        self.registers = tuple(registers or function.registers())
+        self.width = function.bit_width
+        self._per_cycle = len(self.registers) * self.width
+
+    def __len__(self):
+        return len(self.executed) * self._per_cycle
+
+    def row(self, index):
+        cycle, offset = divmod(index, self._per_cycle)
+        slot, bit = divmod(offset, self.width)
+        return (cycle, self.registers[slot], bit, self.executed[cycle],
+                None, None)
+
+    def rows(self):
+        for cycle, pp in enumerate(self.executed):
+            for reg in self.registers:
+                for bit in range(self.width):
+                    yield (cycle, reg, bit, pp, None, None)
+
+
+class InjectOnReadPlan(Plan):
+    """Every bit of every dynamic live window; one offset per cycle."""
+
+    def __init__(self, function, trace, liveness=None):
+        liveness = liveness or compute_liveness(function)
+        self.executed = trace.executed
+        self.width = function.bit_width
+        self.windows = [liveness.live_windows(pp)
+                        for pp in range(len(function.instructions))]
+        self.starts = [0]       # plan index of each cycle's first entry
+        for pp in self.executed:
+            self.starts.append(self.starts[-1]
+                               + len(self.windows[pp]) * self.width)
+
+    def __len__(self):
+        return self.starts[-1]
+
+    def row(self, index):
+        cycle = bisect_right(self.starts, index) - 1
+        pp = self.executed[cycle]
+        slot, bit = divmod(index - self.starts[cycle], self.width)
+        return (cycle, self.windows[pp][slot], bit, pp, None, None)
+
+    def rows(self):
+        for cycle, pp in enumerate(self.executed):
+            for reg in self.windows[pp]:
+                for bit in range(self.width):
+                    yield (cycle, reg, bit, pp, None, None)
+
+
+class BecPlan(Plan):
+    """The class-leader instances of one compiled BEC walk.
+
+    Only the emitting cycles are kept — their cycle, their
+    :class:`repro.fi.accounting.Action` and the plan index of their
+    first entry; an entry's epoch (its dynamic group id) is its plan
+    index, because groups are numbered as they are emitted.
+    """
+
+    def __init__(self, function, trace, bec):
+        self.executed = trace.executed
+        self.tables = BecTables(function, bec)
+        self.cycles = []
+        self.actions = []
+        self.starts = [0]
+        for cycle, _point, action in self.tables.walk(self.executed):
+            if action.emits:
+                self.cycles.append(cycle)
+                self.actions.append(action)
+                self.starts.append(self.starts[-1] + len(action.emits))
+
+    def __len__(self):
+        return self.starts[-1]
+
+    def row(self, index):
+        step = bisect_right(self.starts, index) - 1
+        action = self.actions[step]
+        reg, bit, rep = action.emits[index - self.starts[step]]
+        return (self.cycles[step], reg, bit, action.pp, rep, index)
+
+    def rows(self):
+        for cycle, action, start in zip(self.cycles, self.actions,
+                                        self.starts):
+            for offset, (reg, bit, rep) in enumerate(action.emits):
+                yield (cycle, reg, bit, action.pp, rep, start + offset)
+
+    def accounting(self):
+        """The Table III row of this plan's walk (see
+        :func:`repro.fi.accounting.fault_injection_accounting`)."""
+        return self.tables.accounting(self.executed, len(self))
+
+
 def plan_exhaustive(function, trace, registers=None):
     """Every (cycle, register, bit) of the register file (Table I)."""
-    registers = list(registers or function.registers())
-    width = function.bit_width
-    plan = []
-    for cycle, pp in enumerate(trace.executed):
-        for reg in registers:
-            for bit in range(width):
-                plan.append(PlannedRun(Injection(cycle, reg, bit), pp,
-                                       None, None))
-    return plan
+    return ExhaustivePlan(function, trace, registers)
 
 
 def plan_inject_on_read(function, trace, liveness=None):
     """One injection per bit of each dynamic live window."""
-    liveness = liveness or compute_liveness(function)
-    width = function.bit_width
-    plan = []
-    for cycle, pp in enumerate(trace.executed):
-        for reg in liveness.live_windows(pp):
-            for bit in range(width):
-                plan.append(PlannedRun(Injection(cycle, reg, bit), pp,
-                                       None, None))
-    return plan
+    return InjectOnReadPlan(function, trace, liveness)
 
 
 def plan_bec(function, trace, bec):
     """The BEC-pruned plan: only class-leader instances are injected."""
-    plan = []
-    for instance in iter_bit_instances(function, trace, bec):
-        if instance.emit:
-            plan.append(PlannedRun(
-                Injection(instance.cycle, instance.reg, instance.bit),
-                instance.pp, instance.rep, instance.epoch))
-    return plan
+    return BecPlan(function, trace, bec)
 
 
 class Aggregates:

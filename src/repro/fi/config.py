@@ -7,8 +7,8 @@ its role: **semantic** fields enter the result store's key
 (:func:`repro.store.keys.campaign_key`; today only ``prune``),
 **schedule** fields never do, so a result produced under one schedule
 is a cache hit under every other.  ``max_runs`` is tagged schedule: it
-caps the plan, so it reaches the key only through the plan rows it
-keeps.
+samples the plan (:meth:`repro.fi.campaign.Plan.sample`), so it
+reaches the key only through the plan rows it keeps.
 
 The config is frozen and validated here, once.  Each edge builds it
 once — a spec's ``[engine]`` table, the CLI's engine flags, the

@@ -440,7 +440,7 @@ class CampaignEngine:
     def __init__(self, machine, plan, regs=None, golden=None,
                  max_cycles=None):
         self.machine = machine
-        self.plan = list(plan)
+        self.plan = plan        # any sequence: a lazy Plan, a list...
         self.regs = regs
         self.golden = golden if golden is not None \
             else machine.run(regs=regs)

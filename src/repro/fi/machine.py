@@ -73,6 +73,16 @@ class Injection:
     def __repr__(self):
         return f"Injection(cycle={self.cycle}, reg={self.reg!r}, bit={self.bit})"
 
+    # Plans build their entries on access, so two reads of one entry
+    # are equal values, not one object.
+    def __eq__(self, other):
+        return type(other) is Injection and \
+            (self.cycle, self.reg, self.bit) == \
+            (other.cycle, other.reg, other.bit)
+
+    def __hash__(self):
+        return hash((self.cycle, self.reg, self.bit))
+
 
 class MemoryInjection:
     """A single-event upset in memory: flip bit *bit* of the word at

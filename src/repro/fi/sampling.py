@@ -27,10 +27,9 @@ import random
 from collections import namedtuple
 
 from repro import obs
-from repro.ir.liveness import compute_liveness
 from repro.fi.accounting import iter_bit_instances
-from repro.fi.campaign import (EFFECT_MASKED, classify_effect,
-                               plan_inject_on_read)
+from repro.fi.campaign import (EFFECT_CLASSES, EFFECT_MASKED,
+                               classify_effect, plan_inject_on_read)
 from repro.fi.config import EngineConfig
 from repro.fi.machine import Injection
 
@@ -105,6 +104,31 @@ def wilson_interval(successes, trials, confidence=0.95):
     return (min(low, phat), max(high, phat))
 
 
+def effect_intervals(counts, trials, sample_fraction):
+    """``effect class -> (low, high)`` rate bounds for every class of
+    :data:`repro.fi.campaign.EFFECT_CLASSES`, from *counts* over
+    *trials* runs: the 95% Wilson interval when the runs are a sample of
+    the plan (``sample_fraction < 1``), the exact rate when they are
+    the whole plan.  Empty without trials."""
+    if not trials:
+        return {}
+    intervals = {}
+    for effect in EFFECT_CLASSES:
+        count = counts.get(effect, 0)
+        if sample_fraction < 1:
+            intervals[effect] = wilson_interval(count, trials)
+        else:
+            intervals[effect] = (count / trials, count / trials)
+    return intervals
+
+
+def format_intervals(intervals):
+    """``"masked 12.0%-18.3%, sdc ..."`` for an :func:`effect_intervals`
+    result."""
+    return ", ".join(f"{effect} {low:.1%}-{high:.1%}"
+                     for effect, (low, high) in intervals.items())
+
+
 # -- populations ----------------------------------------------------------------
 
 
@@ -120,17 +144,14 @@ def inject_on_read_population(function, trace, bec=None, liveness=None):
     sites are marked so the estimator can skip their simulator runs.
     Without it every site gets a unique key (plain uniform sampling).
     """
-    population = []
     if bec is None:
-        liveness = liveness or compute_liveness(function)
-        width = function.bit_width
-        for cycle, pp in enumerate(trace.executed):
-            for reg in liveness.live_windows(pp):
-                for bit in range(width):
-                    population.append(SampledSite(
-                        Injection(cycle, reg, bit),
-                        ("site", cycle, reg, bit), False))
-        return population
+        return [SampledSite(planned.injection,
+                            ("site", planned.injection.cycle,
+                             planned.injection.reg, planned.injection.bit),
+                            False)
+                for planned in plan_inject_on_read(function, trace,
+                                                   liveness)]
+    population = []
     for instance in iter_bit_instances(function, trace, bec):
         if instance.rep == 0:
             key = ("masked",)

@@ -20,6 +20,7 @@ import time
 
 from repro.dist.coordinator import status_payload
 from repro.dist.queue import cell_id, spec_digest
+from repro.fi.sampling import effect_intervals
 from repro.store.db import default_busy_timeout
 from repro.store.spec import parse_spec
 
@@ -264,6 +265,7 @@ class JobService:
                  "cached": None, "plan_runs": None,
                  "pruned_runs": None, "effects": None,
                  "distinct_traces": None, "wall_time": None,
+                 "sample_fraction": None, "intervals": None,
                  "error": None}
         if row is None:
             return entry
@@ -289,6 +291,10 @@ class JobService:
                 entry["pruned_runs"] = result.pruned_runs
                 entry["effects"] = result.effect_counts()
                 entry["distinct_traces"] = result.distinct_traces
+                entry["sample_fraction"] = row["sample_fraction"]
+                entry["intervals"] = effect_intervals(
+                    entry["effects"], entry["plan_runs"],
+                    row["sample_fraction"])
                 entry["wall_time"] = result.wall_time
                 totals["wall_time"] += result.wall_time
         return entry

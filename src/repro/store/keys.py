@@ -19,7 +19,7 @@ schedule is valid under every other.
 * the machine image (memory image bytes, memory size),
 * the initial register values,
 * the fault plan (one ``[cycle, reg, bit, pp, rep, epoch]`` row per
-  planned run, in plan order),
+  planned run, in plan order; a capped cell's rows are its sample's),
 * the semantic settings (:func:`canonical_config`).
 
 Versioning is split on purpose.  Bump :data:`KEY_VERSION` only when
@@ -31,6 +31,7 @@ written before the bump still serves hits instead of re-simulating.
 """
 
 import hashlib
+import itertools
 import json
 
 from repro.fi.config import EngineConfig
@@ -63,17 +64,32 @@ def canonical_config(core="threaded", harden="none", budget=None,
 
 
 def plan_rows(plan):
-    """Canonical JSON-safe rows for a fault plan, in plan order."""
-    return [[planned.injection.cycle, planned.injection.reg,
-             planned.injection.bit, planned.pp, planned.rep,
-             planned.epoch]
-            for planned in plan]
+    """Canonical JSON-safe rows for a fault plan, in plan order (a
+    generator: a lazy plan is never materialized)."""
+    for planned in plan:
+        injection = planned.injection
+        yield (injection.cycle, injection.reg, injection.bit, planned.pp,
+               planned.rep, planned.epoch)
+
+
+#: Encoder of the key payload: its bytes are those of
+#: ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: Plan rows encoded (and digested) per chunk.
+ROW_CHUNK = 4096
 
 
 def campaign_key(function, plan, regs=None, memory_image=None,
                  memory_size=1 << 16, core="threaded", harden="none",
                  budget=None, max_cycles=None, config=EngineConfig()):
-    """Hex digest addressing one campaign cell in the store."""
+    """Hex digest addressing one campaign cell in the store.
+
+    The digest covers the canonical JSON of the payload below with the
+    plan's rows spliced into its (empty) ``plan`` list chunk by chunk,
+    so the bytes digested equal the one-shot encoding of the full row
+    list while only ``ROW_CHUNK`` rows are ever resident.
+    """
     payload = {
         "schema": KEY_VERSION,
         "function": format_function(function),
@@ -81,10 +97,21 @@ def campaign_key(function, plan, regs=None, memory_image=None,
         "memory_size": memory_size,
         "regs": sorted((reg, int(value))
                        for reg, value in (regs or {}).items()),
-        "plan": plan_rows(plan),
+        "plan": [],
         "config": canonical_config(core, harden, budget, max_cycles,
                                    config),
     }
-    blob = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode()
-    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+    # String values are escaped, so the key is the only unquoted match.
+    head, _, tail = _ENCODER.encode(payload).partition('"plan":[]')
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(f'{head}"plan":['.encode())
+    rows = plan_rows(plan)
+    separator = b""
+    while True:
+        chunk = list(itertools.islice(rows, ROW_CHUNK))
+        if not chunk:
+            break
+        digest.update(separator + _ENCODER.encode(chunk)[1:-1].encode())
+        separator = b","
+    digest.update(f"]{tail}".encode())
+    return digest.hexdigest()

@@ -64,7 +64,6 @@ class CachingRunner:
         touching the store — the caller owns archiving (the envelope
         commit path).
         """
-        plan = list(plan)
         key = self.key_for(machine, plan, regs=regs, harden=harden,
                            budget=budget, max_cycles=max_cycles,
                            config=config)

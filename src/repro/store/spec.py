@@ -17,7 +17,7 @@ canonical shape::
     workers = 2                            # processes for cache misses
     checkpoint_interval = 64               # snapshot/resume granularity
     prune = "none"                         # or "liveness"
-    max_runs = 200                         # cap each cell's plan
+    max_runs = 200                         # sample each cell's plan
     batch_lanes = 256                      # lockstep lanes (batched core)
     chunk_size = 2048                      # streamed records per chunk
     max_retries = 1                        # re-attempts per failing cell

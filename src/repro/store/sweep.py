@@ -24,16 +24,19 @@ from repro.fi.campaign import (plan_bec, plan_exhaustive,
                                plan_inject_on_read)
 from repro.fi.deadline import wall_clock_deadline
 from repro.fi.machine import Machine
+from repro.fi.sampling import effect_intervals, format_intervals
 from repro.store.runner import CachingRunner
 
 #: One finished (or cache-hit, or — with ``continue_on_error`` —
 #: permanently failed) grid cell.  ``error`` is ``None`` on success
 #: and a ``"ExcType: message"`` string when every attempt failed.
+#: ``sample_fraction`` is the share of the cell's full plan that
+#: ``plan_runs`` covers (below 1 when ``max_runs`` sampled it).
 CellOutcome = namedtuple(
     "CellOutcome",
     ["cell", "key", "cached", "plan_runs", "pruned_runs", "effects",
      "distinct_traces", "archived_bytes", "wall_time", "golden_cycles",
-     "overhead", "error"], defaults=(None,))
+     "overhead", "error", "sample_fraction"], defaults=(None, 1.0))
 
 _PLANNERS = {
     "bec": lambda function, golden, bec: plan_bec(function, golden, bec),
@@ -100,7 +103,7 @@ class SweepRunner:
         self.runner = CachingRunner(store, force=force)
         self._kernels = {}    # name -> (function, memory_image, regs)
         self._variants = {}   # (name, harden, budget) -> variant dict
-        self._plans = {}      # (variant key, mode) -> plan
+        self._plans = {}      # (variant key, mode) -> (sampled) plan
 
     def _kernel(self, label):
         if label not in self._kernels:
@@ -146,7 +149,7 @@ class SweepRunner:
                                         variant["golden"],
                                         variant["bec"])
             if self.config.max_runs is not None:
-                plan = plan[:self.config.max_runs]
+                plan = plan.sample(self.config.max_runs)
             self._plans[key] = plan
         return self._plans[key]
 
@@ -182,7 +185,8 @@ class SweepRunner:
             distinct_traces=result.distinct_traces,
             archived_bytes=result.archived_bytes,
             wall_time=result.wall_time,
-            golden_cycles=variant["golden"].cycles, overhead=overhead)
+            golden_cycles=variant["golden"].cycles, overhead=overhead,
+            sample_fraction=plan.sample_fraction)
 
     def _execute_cell(self, cell, progress=None):
         """:meth:`run_cell` under the retry policy.
@@ -266,6 +270,13 @@ def run_sweep(spec, store, config=None, force=False, progress=None,
     return SweepRunner(spec, store, config=config, force=force,
                        continue_on_error=continue_on_error).run(
                            progress=progress, run_progress=run_progress)
+
+
+def _intervals(outcome):
+    """Per-effect-class rate intervals of one cell (empty for a failed
+    or empty cell)."""
+    return effect_intervals(outcome.effects, outcome.plan_runs,
+                            outcome.sample_fraction)
 
 
 class SweepReport:
@@ -354,6 +365,8 @@ class SweepReport:
                     "golden_cycles": outcome.golden_cycles,
                     "overhead": outcome.overhead,
                     "error": outcome.error,
+                    "sample_fraction": outcome.sample_fraction,
+                    "intervals": _intervals(outcome),
                 }
                 for outcome in self.outcomes
             ],
@@ -381,9 +394,9 @@ class SweepReport:
                 f"({uncompressed} B raw, {reduction:.0%} smaller)")
         lines += [
             "",
-            "| kernel | mode | harden | budget | core | runs | sdc | "
-            "detected | masked | distinct | cached | time (s) |",
-            "|---|---|---|---|---|---:|---:|---:|---:|---:|---|---:|",
+            "| kernel | mode | harden | budget | core | runs | sample "
+            "| sdc | detected | masked | distinct | cached | time (s) |",
+            "|---|---|---|---|---|---:|---:|---:|---:|---:|---:|---|---:|",
         ]
         for outcome in self.outcomes:
             cell = outcome.cell
@@ -397,12 +410,25 @@ class SweepReport:
             lines.append(
                 f"| {cell.kernel} | {cell.mode} | {cell.harden} "
                 f"| {budget} | {cell.core} | {outcome.plan_runs} "
+                f"| {outcome.sample_fraction:.2%} "
                 f"| {outcome.effects.get('sdc', 0)} "
                 f"| {outcome.effects.get('detected', 0)} "
                 f"| {outcome.effects.get('masked', 0)} "
                 f"| {outcome.distinct_traces} "
                 f"| {status} "
                 f"| {outcome.wall_time:.2f} |")
+        rates = []
+        for outcome in self.outcomes:
+            intervals = _intervals(outcome)
+            if intervals:
+                cell = outcome.cell
+                rates.append(
+                    f"- `{cell.kernel} / {cell.mode} / {cell.harden} / "
+                    f"{cell.core}` ({outcome.sample_fraction:.2%} of the "
+                    f"plan): {format_intervals(intervals)}")
+        if rates:
+            lines += ["", "## Effect rates (95% Wilson interval; exact "
+                          "for whole-plan cells)", ""] + rates
         if self.failed:
             lines += ["", "## Failed cells", ""]
             for outcome in self.failed:

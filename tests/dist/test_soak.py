@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 from repro.dist.queue import WorkQueue
 from repro.store import ResultStore, parse_spec, run_sweep
@@ -57,6 +58,17 @@ def launch_worker(name, queue, store, chaos, tmp_path):
                             stdout=log, stderr=subprocess.STDOUT)
 
 
+def wait_for_first_lease(queue_path, worker, process, timeout=60):
+    """Block until *worker* holds (or has held) a queue row, or its
+    process has exited."""
+    deadline = time.monotonic() + timeout
+    with WorkQueue(queue_path) as queue:
+        while time.monotonic() < deadline and process.poll() is None:
+            if any(row["worker"] == worker for row in queue.cells()):
+                return
+            time.sleep(0.05)
+
+
 def archive_rows(store):
     chunks = store._connection.execute(
         "SELECT key, chunk_index, payload, digest FROM campaign_chunks "
@@ -87,16 +99,23 @@ def test_three_workers_under_chaos_drain_exactly_once(tmp_path):
         inserted = queue.enqueue(spec, max_attempts=5)
         assert len(inserted) == 6
 
+    # The two workers whose fault fires on their first cell start one
+    # at a time, each holding its first lease before the next starts,
+    # so the others cannot drain every cell before they claim one.
+    # Killed on its first cell after computing, before committing.
+    killed = launch_worker("soak-kill", queue_path, store_path,
+                           ["kill_cell=0"], tmp_path)
+    wait_for_first_lease(queue_path, "soak-kill", killed)
+    # Submits one forged envelope, which must be rejected.
+    forger = launch_worker("soak-forge", queue_path, store_path,
+                           ["forge_envelope=0"], tmp_path)
+    wait_for_first_lease(queue_path, "soak-forge", forger)
     workers = [
-        # Killed on its first cell after computing, before committing.
-        launch_worker("soak-kill", queue_path, store_path,
-                      ["kill_cell=0"], tmp_path),
+        killed,
         # Forfeits its first lease mid-cell, then keeps going.
         launch_worker("soak-expire", queue_path, store_path,
                       ["expire_lease=0"], tmp_path),
-        # Submits one forged envelope, which must be rejected.
-        launch_worker("soak-forge", queue_path, store_path,
-                      ["forge_envelope=0"], tmp_path),
+        forger,
     ]
     outcomes = [worker.wait(timeout=240) for worker in workers]
 

@@ -71,7 +71,7 @@ class TestStatusPayload:
 
 class TestSchemaMigration:
     def test_old_queue_file_gains_accounting_columns(self, tmp_path):
-        """A queue created before the cached/sim_runs columns opens
+        """A queue created before the accounting columns opens
         cleanly: ALTER TABLE retrofits them with safe defaults."""
         path = str(tmp_path / "old.sqlite")
         with WorkQueue(path) as queue:
@@ -80,16 +80,20 @@ class TestSchemaMigration:
         connection.executescript("""
             ALTER TABLE dist_queue DROP COLUMN cached;
             ALTER TABLE dist_queue DROP COLUMN sim_runs;
+            ALTER TABLE dist_queue DROP COLUMN sample_fraction;
         """)
         connection.close()
         with WorkQueue(path) as reopened:
             rows = reopened.cells()
             assert rows and all(row["cached"] is False and
-                                row["sim_runs"] == 0
+                                row["sim_runs"] == 0 and
+                                row["sample_fraction"] == 1.0
                                 for row in rows)
             lease = reopened.claim("w0")
             assert reopened.complete(lease.token, result_key="k",
-                                     sim_runs=3) == "done"
+                                     sim_runs=3,
+                                     sample_fraction=0.25) == "done"
             done = [row for row in reopened.cells()
                     if row["state"] == "done"]
             assert done[0]["sim_runs"] == 3
+            assert done[0]["sample_fraction"] == 0.25

@@ -19,8 +19,10 @@ import random
 
 import pytest
 
+from repro.bec.analysis import run_bec
 from repro.fi import batch
-from repro.fi.campaign import PlannedRun
+from repro.fi.campaign import (PlannedRun, plan_bec, plan_exhaustive,
+                               plan_inject_on_read)
 from repro.fi.config import EngineConfig
 from repro.fi.engine import CampaignEngine, pick_snapshot
 from repro.fi.machine import Injection, Machine, MemoryInjection
@@ -285,6 +287,27 @@ def test_hardened_campaigns_identical_three_ways(seed):
     rng = random.Random(seed ^ 0x5EED)
     plan = _random_plan(rng, hardened, golden)
     assert_campaigns_identical(hardened, plan, regs, seed=seed)
+
+
+@pytest.mark.skipif(not batch.numpy_available(),
+                    reason="NumPy not installed")
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_sampled_plans_identical_three_ways(seed):
+    """Three-way campaign parity on lazy plans, sampled the way a
+    capped campaign samples them: exhaustive, inject-on-read and BEC
+    plans of a random program, each cut to a 24-run sample."""
+    function = generate_function(seed, _CFG)
+    regs = random_inputs(seed, function)
+    golden = Machine(function, memory_size=_MEMORY_SIZE).run(
+        regs=regs, max_cycles=_MAX_CYCLES)
+    if golden.outcome != "ok":
+        return
+    for plan in (plan_exhaustive(function, golden),
+                 plan_inject_on_read(function, golden),
+                 plan_bec(function, golden, run_bec(function))):
+        assert_campaigns_identical(function, plan.sample(24),
+                                   regs, seed=seed)
 
 
 @settings(max_examples=20, deadline=None)

@@ -109,6 +109,11 @@ class TestSubmitToReport:
             assert over_http["plan_runs"] == outcome["plan_runs"]
             assert over_http["distinct_traces"] == \
                 outcome["distinct_traces"]
+            assert 0 < over_http["sample_fraction"] < 1
+            assert over_http["sample_fraction"] == \
+                outcome["sample_fraction"]
+            assert over_http["intervals"] == \
+                json.loads(json.dumps(outcome["intervals"]))
 
     def test_resubmission_is_idempotent_with_zero_runs(self, client):
         job_id = submit_and_wait(client)
@@ -131,6 +136,7 @@ class TestSubmitToReport:
         report = client.report(job_id)
         assert report["totals"]["cells_done"] == 1
         assert report["cells"][0]["plan_runs"] == 25
+        assert 0 < report["cells"][0]["sample_fraction"] < 1
 
     def test_cell_detail_has_provenance(self, client):
         job_id = submit_and_wait(client)

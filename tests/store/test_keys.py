@@ -1,18 +1,24 @@
 """Tests for the content-address recipe (repro.store.keys)."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
 from repro.bec.analysis import run_bec
 from repro.bench.motivating import count_years, count_years_scheduled
 from repro.errors import SimulationError
-from repro.fi.campaign import plan_bec, plan_exhaustive
+from repro.experiments.common import benchmark_run
+from repro.fi.campaign import plan_bec, plan_exhaustive, plan_inject_on_read
 from repro.fi.config import SCHEDULE, SEMANTIC, EngineConfig
 from repro.fi.machine import Machine
 from repro.ir.parser import parse_function
-from repro.store import (CachingRunner, ResultStore, campaign_key,
-                         canonical_config, parse_spec, run_sweep)
+from repro.ir.printer import format_function
+from repro.store import keys
+from repro.store.keys import KEY_VERSION
+from repro.store import (CachingRunner, ResultStore, SweepRunner,
+                         campaign_key, canonical_config, parse_spec)
 
 
 @pytest.fixture(scope="module")
@@ -177,36 +183,87 @@ PINNED_KEYS = {
 }
 
 
+#: (kernel, prune, harden, core) -> the sweep's key for the bitcount
+#: cells at ``max_runs`` = :data:`PINNED_PREFIX`: a cycle-stratified
+#: sample of the plan (:meth:`repro.fi.campaign.Plan.sample`), so a
+#: change to how a cap picks its entries shows here.
+PINNED_SAMPLED_KEYS = {
+    ("bitcount", "liveness", "bec", "batched"):
+        "d0639653f37aa28e144fa9ee1751a3fd",
+    ("bitcount", "liveness", "bec", "threaded"):
+        "14e635cf8506a6f123a1aba45d4b8965",
+    ("bitcount", "liveness", "none", "batched"):
+        "113c9e691e94be088f2e2ad765f99686",
+    ("bitcount", "liveness", "none", "threaded"):
+        "fa2521f1157e5d68f542b348e1b6d63a",
+    ("bitcount", "none", "bec", "batched"):
+        "741afb67cb45f0167f7177caf452811f",
+    ("bitcount", "none", "bec", "threaded"):
+        "0fa7f400fe863620317bc264565280c3",
+    ("bitcount", "none", "none", "batched"):
+        "e92d768ad57188f57bbfa2733baad322",
+    ("bitcount", "none", "none", "threaded"):
+        "884f31eae1551c15aa830b71ce2affb2",
+}
+
+
+#: Entries each pinned bitcount cell keeps.  The bitcount digests were
+#: pinned when ``max_runs`` kept this prefix of the plan.
+PINNED_PREFIX = 16
+
+
 @pytest.fixture(scope="module")
-def swept_keys(tmp_path_factory):
-    """The keys the sweep (and, for the explicit ``max_cycles`` cell,
-    the caching runner) actually computes for :data:`PINNED_KEYS`."""
+def pinned_sweep(tmp_path_factory):
+    """Per pinned cell: the sweep's outcome and the key of the first
+    :data:`PINNED_PREFIX` entries of the cell's full plan, computed by
+    the same runner (``(kernel, prune, harden, core) -> (outcome,
+    prefix key)``), plus ``(None, key)`` for the explicit
+    ``max_cycles`` cell."""
     directory = tmp_path_factory.mktemp("pinned")
     tiny = str(directory / "tiny.ir")
     with open(tiny, "w", encoding="utf-8") as handle:
         handle.write(TINY_IR)
-    keys = {}
+    cells = {}
     with ResultStore(str(directory / "keys.sqlite")) as store:
         for prune in ("none", "liveness"):
             spec = parse_spec({
                 "grid": {"kernels": ["bitcount", tiny], "modes": ["bec"],
                          "harden": ["none", "bec"], "budgets": [0.3],
                          "cores": ["threaded", "batched"]},
-                "engine": {"prune": prune, "max_runs": 16}},
+                "engine": {"prune": prune, "max_runs": PINNED_PREFIX}},
                 name="pinned")
-            for outcome in run_sweep(spec, store).outcomes:
+            sweep = SweepRunner(spec, store)
+            for outcome in sweep.run().outcomes:
                 cell = outcome.cell
+                machine, _, variant = sweep.cell_setup(cell)
+                prefix = plan_bec(variant["function"], variant["golden"],
+                                  variant["bec"])[:PINNED_PREFIX]
+                prefix_key = sweep.runner.key_for(
+                    machine, prefix, regs=variant["regs"],
+                    harden=cell.harden, budget=cell.budget,
+                    config=sweep.config)
                 kernel = "tiny" if cell.kernel == tiny else cell.kernel
-                keys[(kernel, prune, cell.harden, cell.core)] = \
-                    outcome.key
+                cells[(kernel, prune, cell.harden, cell.core)] = \
+                    (outcome, prefix_key)
         function = parse_function(TINY_IR)
         machine = Machine(function)
         golden = machine.run()
         runner = CachingRunner(store)
         runner.run(machine, plan_exhaustive(function, golden),
                    golden=golden, max_cycles=64)
-        keys[("tiny", "none", "none", "threaded", 64)] = runner.last_key
-    return keys
+        cells[("tiny", "none", "none", "threaded", 64)] = \
+            (None, runner.last_key)
+    return cells
+
+
+@pytest.fixture(scope="module")
+def swept_keys(pinned_sweep):
+    """The keys of :data:`PINNED_KEYS`: the sweep's own key for the
+    tiny cells (whole plans, which a cap of 16 leaves unsampled) and
+    the 16-entry prefix's key for the bitcount cells, whose capped
+    sweep keys now address a sample instead."""
+    return {cell: outcome.key if cell[0] == "tiny" and outcome is not None
+            else key for cell, (outcome, key) in pinned_sweep.items()}
 
 
 class TestPinnedKeys:
@@ -214,3 +271,77 @@ class TestPinnedKeys:
                              ids=lambda cell: "-".join(map(str, cell)))
     def test_key_bytes_unchanged(self, swept_keys, cell):
         assert swept_keys[cell] == PINNED_KEYS[cell]
+
+    @pytest.mark.parametrize("cell", sorted(PINNED_SAMPLED_KEYS),
+                             ids="-".join)
+    def test_sampled_key_bytes_unchanged(self, pinned_sweep, cell):
+        outcome, _ = pinned_sweep[cell]
+        assert outcome.key == PINNED_SAMPLED_KEYS[cell]
+
+
+class TestCappedKeys:
+    """A cap samples the whole plan; a cap at or above the plan's
+    length is the whole plan."""
+
+    def test_tiny_plans_are_whole(self, pinned_sweep):
+        tiny = [outcome for cell, (outcome, _) in pinned_sweep.items()
+                if cell[0] == "tiny" and outcome is not None]
+        assert tiny and all(outcome.sample_fraction == 1
+                            and outcome.plan_runs <= PINNED_PREFIX
+                            for outcome in tiny)
+
+    def test_capped_bitcount_keys_address_the_sample(self, pinned_sweep):
+        for cell, (outcome, prefix_key) in pinned_sweep.items():
+            if cell[0] != "bitcount":
+                continue
+            assert outcome.plan_runs == PINNED_PREFIX
+            assert 0 < outcome.sample_fraction < 1
+            assert outcome.key != prefix_key
+
+    def test_sample_key_equals_uncapped_key_when_whole(self, function,
+                                                       plan):
+        assert campaign_key(function, plan.sample(len(plan))) \
+            == campaign_key(function, plan)
+        assert campaign_key(function, plan.sample(len(plan) - 1)) \
+            != campaign_key(function, plan)
+
+
+def _list_recipe_key(function, plan, regs=None):
+    """The key recipe as a one-shot encoding of a materialized row
+    list (what ``campaign_key`` computed before it streamed)."""
+    payload = {
+        "schema": KEY_VERSION,
+        "function": format_function(function),
+        "memory_image": "",
+        "memory_size": 1 << 16,
+        "regs": sorted((reg, int(value))
+                       for reg, value in (regs or {}).items()),
+        "plan": [[planned.injection.cycle, planned.injection.reg,
+                  planned.injection.bit, planned.pp, planned.rep,
+                  planned.epoch] for planned in list(plan)],
+        "config": canonical_config(),
+    }
+    blob = json.dumps(payload, sort_keys=True,
+                      separators=(",", ":")).encode()
+    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+
+
+class TestStreamedDigest:
+    """The streamed digest is byte-identical to the list recipe."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_every_planner(self, function, golden, plan, monkeypatch,
+                           chunk):
+        monkeypatch.setattr(keys, "ROW_CHUNK", chunk)
+        for candidate in (plan, plan_exhaustive(function, golden),
+                          plan_inject_on_read(function, golden), [],
+                          plan[:chunk + 1], plan.sample(9)):
+            assert campaign_key(function, candidate, regs={"a": 3}) \
+                == _list_recipe_key(function, candidate, regs={"a": 3})
+
+    def test_registry_kernel(self):
+        run = benchmark_run("RSA")
+        plan = plan_bec(run.function, run.golden, run.bec)
+        assert len(plan) == 17832
+        assert campaign_key(run.function, plan) \
+            == _list_recipe_key(run.function, plan)

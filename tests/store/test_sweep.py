@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.fi.campaign import EFFECT_CLASSES
 from repro.store import (ResultStore, SweepSpecError, load_spec,
                          parse_spec, run_sweep)
 
@@ -214,6 +215,37 @@ class TestSweep:
         assert "| kernel |" in text
         assert tiny_ir in text
         assert "simulator runs" in report.summary()
+
+    def test_capped_cells_are_labelled_samples(self, loop_mc, store):
+        """``max_runs`` samples the plan; the reports carry the sample
+        fraction and one interval per effect class."""
+        whole = run_sweep(spec_for([loop_mc], modes=["exhaustive"]), store)
+        capped = run_sweep(spec_for([loop_mc], modes=["exhaustive"],
+                                    max_runs=40), store)
+        (full,), (sample,) = whole.outcomes, capped.outcomes
+        assert full.sample_fraction == 1
+        assert sample.plan_runs == 40
+        assert sample.sample_fraction == 40 / full.plan_runs
+        assert sample.key != full.key
+        (cell,) = capped.to_json()["cells"]
+        assert cell["sample_fraction"] == sample.sample_fraction
+        assert set(cell["intervals"]) == set(EFFECT_CLASSES)
+        for effect, (low, high) in cell["intervals"].items():
+            assert low <= sample.effects[effect] / 40 <= high
+            assert high - low > 0
+        (cell,) = whole.to_json()["cells"]
+        assert all(low == high for low, high in cell["intervals"].values())
+        text = capped.to_markdown()
+        assert "## Effect rates (95% Wilson interval" in text
+        assert f"({sample.sample_fraction:.2%} of the plan)" in text
+
+    def test_cap_at_plan_length_keeps_the_uncapped_key(self, loop_mc,
+                                                       store):
+        whole = run_sweep(spec_for([loop_mc]), store).outcomes[0]
+        capped = run_sweep(spec_for([loop_mc], max_runs=whole.plan_runs),
+                           store).outcomes[0]
+        assert capped.cached and capped.key == whole.key
+        assert capped.sample_fraction == 1
 
     def test_progress_callback(self, tiny_ir, store):
         spec = spec_for([tiny_ir], modes=["bec", "ior"], max_runs=40)

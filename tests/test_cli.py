@@ -114,6 +114,22 @@ class TestCampaign:
         output = capsys.readouterr().out
         assert "executed 5 runs" in output
 
+    def test_execute_samples_and_labels(self, minic_file, capsys):
+        assert main(["campaign", minic_file, "--mode", "exhaustive",
+                     "--execute", "30"]) == 0
+        output = capsys.readouterr().out
+        (line,) = [line for line in output.splitlines()
+                   if line.startswith("sample:")]
+        assert "sample: 30 of " in line and "cycle-stratified" in line
+        for effect in ("masked", "sdc", "detected", "trap", "timeout",
+                       "benign-divergence"):
+            assert f"{effect} " in line.split("intervals: ")[1]
+
+    def test_execute_beyond_the_plan_runs_it_whole(self, ir_file, capsys):
+        assert main(["campaign", ir_file, "--execute", "100000"]) == 0
+        output = capsys.readouterr().out
+        assert "sample: the whole plan" in output
+
     def test_cores_agree(self, minic_file, capsys):
         outputs = []
         for core in ("threaded", "reference", "batched"):
