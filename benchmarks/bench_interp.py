@@ -1,20 +1,14 @@
 """Interpreter-core benchmark: threaded code vs the reference interpreter.
 
 Measures single-run wall-clock for both execution cores on the paper's
-evaluation kernels, plus the *compounded* campaign-level speedup of the
-threaded core on top of the engine knobs (checkpointing + workers) from
-the campaign engine.  Emits a machine-readable ``BENCH_interp.json`` so
-CI can track the perf trajectory:
+evaluation kernels (campaign-level speedups are ``bench_campaign.py``'s
+job).  Emits a machine-readable ``BENCH_interp.json`` so CI can track
+the perf trajectory:
 
 * ``programs``   — per-benchmark cycles, seconds and instructions/sec
                    for each core, and the per-program speedup;
 * ``geomean_speedup`` — the gate: the threaded core must keep a >= 3x
-                   geometric-mean single-run speedup (full mode only);
-* ``campaign``   — wall-clock for the same campaign plan executed the
-                   pre-engine way (reference core, serial, no
-                   checkpoints) vs the full stack (threaded core,
-                   workers + checkpoints), with identical aggregates
-                   asserted.
+                   geometric-mean single-run speedup (full mode only).
 
 Run standalone (writes ``BENCH_interp.json`` next to this file's
 working directory and prints a table)::
@@ -22,9 +16,9 @@ working directory and prints a table)::
     PYTHONPATH=src python benchmarks/bench_interp.py
     PYTHONPATH=src python benchmarks/bench_interp.py --smoke  # CI mode
 
-Smoke mode shrinks repetitions and the campaign plan so the whole
-script finishes in seconds; it still asserts trace parity but does not
-gate on the speedup (shared CI runners are too noisy for that).
+Smoke mode shrinks repetitions so the whole script finishes in
+seconds; it still asserts trace parity but does not gate on the speedup
+(shared CI runners are too noisy for that).
 """
 
 import argparse
@@ -33,18 +27,10 @@ import math
 import time
 
 from repro.bench.programs import compile_benchmark, get_benchmark
-from repro.fi.campaign import plan_exhaustive
-from repro.fi.config import EngineConfig
-from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
 
 #: The single-run subjects (paper §VI kernels, presentation order).
 PROGRAMS = ("bitcount", "dijkstra", "CRC32", "AES", "RSA", "SHA")
-
-#: Campaign subject and target plan size (cycle-strided exhaustive
-#: slice, so injection cycles span the whole trace).
-CAMPAIGN_PROGRAM = "CRC32"
-CAMPAIGN_RUNS = {"full": 96, "smoke": 16}
 
 #: Minimum measured time per core (seconds); repetitions adapt to it.
 MIN_MEASURE = {"full": 0.5, "smoke": 0.05}
@@ -103,39 +89,6 @@ def bench_single_runs(mode):
     return rows
 
 
-def bench_campaign(mode):
-    """Pre-engine baseline vs the full stack, identical aggregates."""
-    machines, regs = prepare(CAMPAIGN_PROGRAM)
-    reference = machines["reference"]
-    fast = machines["threaded"]
-    golden = fast.run(regs=regs)
-    full = plan_exhaustive(fast.function, golden)
-    stride = max(1, len(full) // CAMPAIGN_RUNS[mode])
-    plan = full[::stride]
-    interval = max(1, golden.cycles // 32)
-
-    start = time.perf_counter()
-    base = CampaignEngine(reference, plan, regs=regs, golden=golden).run()
-    baseline_s = time.perf_counter() - start
-
-    engine = CampaignEngine(fast, plan, regs=regs, golden=golden)
-    start = time.perf_counter()
-    stacked = engine.run(EngineConfig(workers=4, checkpoint_interval=interval))
-    stacked_s = time.perf_counter() - start
-
-    assert stacked.effect_counts() == base.effect_counts()
-    assert stacked.distinct_traces == base.distinct_traces
-    return {
-        "program": CAMPAIGN_PROGRAM,
-        "runs": len(plan),
-        "trace_cycles": golden.cycles,
-        "reference_serial_s": baseline_s,
-        "threaded_engine_s": stacked_s,
-        "compound_speedup": baseline_s / stacked_s,
-        "effects": base.effect_counts(),
-    }
-
-
 def geomean(values):
     return math.exp(sum(math.log(value) for value in values) / len(values))
 
@@ -151,7 +104,6 @@ def main(argv=None):
     output = options.output
 
     rows = bench_single_runs(mode)
-    campaign = bench_campaign(mode)
     gate = geomean([row["speedup"] for row in rows])
 
     print(f"{'program':<10} {'cycles':>7} {'reference':>11} "
@@ -164,17 +116,12 @@ def main(argv=None):
               f"{row['speedup']:>7.2f}x")
     print(f"\ngeomean single-run speedup: {gate:.2f}x "
           f"(gate: >= {GATE_GEOMEAN:.1f}x, {mode} mode)")
-    print(f"campaign ({campaign['program']}, {campaign['runs']} runs): "
-          f"reference-serial {campaign['reference_serial_s']:.3f}s vs "
-          f"threaded+engine {campaign['threaded_engine_s']:.3f}s — "
-          f"{campaign['compound_speedup']:.2f}x compounded")
 
     report = {
         "mode": mode,
         "geomean_speedup": gate,
         "gate_geomean": GATE_GEOMEAN,
         "programs": rows,
-        "campaign": campaign,
     }
     with open(output, "w") as handle:
         json.dump(report, handle, indent=2)

@@ -47,10 +47,6 @@ def report_interp(data):
         print(f"  best kernel: {best['program']} "
               f"{best['speedup']:.2f}x "
               f"({best['threaded_ips'] / 1e6:.1f} M instr/s)")
-    campaign = data.get("campaign")
-    if campaign:
-        print(f"  compounded campaign win ({campaign['program']}): "
-              f"{campaign['compound_speedup']:.2f}x vs reference-serial")
 
 
 def report_harden(data):

@@ -4,13 +4,9 @@ One :class:`BenchmarkRun` per benchmark bundles the compiled program,
 its golden trace and the BEC analysis; results are cached per process
 because several experiments share them.
 
-Campaign-executing experiments go through :meth:`BenchmarkRun.run_plan`
-so one :func:`engine_config` applies uniformly; ``REPRO_WORKERS``,
-``REPRO_CHECKPOINT_INTERVAL`` and ``REPRO_CORE`` set process-wide
-defaults (e.g. ``REPRO_CORE=batched REPRO_CHECKPOINT_INTERVAL=64`` to
-speed up ``python -m repro.experiments`` with the lockstep core)
-without changing any experiment's results — the engine guarantees
-bit-identical aggregates.
+Campaign-executing experiments go through :meth:`BenchmarkRun.run_plan`,
+which runs the threaded core under the default
+:class:`repro.fi.config.EngineConfig` (serial, uncheckpointed).
 
 ``REPRO_STORE=<path>`` (or :func:`set_store`) binds the harnesses to a
 content-addressed result store (:mod:`repro.store`): every campaign a
@@ -21,32 +17,13 @@ replay the archived per-run records, including the original execution's
 wall time, so even the time columns reproduce).
 """
 
-import functools
 import os
 
 from repro.bench.programs import (BENCHMARK_ORDER, compile_benchmark,
                                   get_benchmark)
 from repro.bec.analysis import run_bec
-from repro.fi.config import EngineConfig
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
-
-
-def _env_int(name, default):
-    try:
-        return int(os.environ.get(name, ""))
-    except ValueError:
-        return default
-
-
-@functools.lru_cache(maxsize=None)
-def engine_config():
-    """The harnesses' :class:`repro.fi.config.EngineConfig`, read once
-    per process from ``REPRO_WORKERS`` / ``REPRO_CHECKPOINT_INTERVAL``
-    (serial, uncheckpointed when unset)."""
-    return EngineConfig(
-        workers=_env_int("REPRO_WORKERS", 1),
-        checkpoint_interval=_env_int("REPRO_CHECKPOINT_INTERVAL", 0))
 
 
 _runner = None
@@ -90,9 +67,7 @@ class BenchmarkRun:
         self.program = compile_benchmark(name)
         self.function = self.program.function
         self.machine = Machine(self.function,
-                               memory_image=self.program.memory_image,
-                               core=os.environ.get("REPRO_CORE",
-                                                   "threaded"))
+                               memory_image=self.program.memory_image)
         self.regs = self.program.initial_regs(*self.benchmark.args)
         self.golden = self.machine.run(regs=self.regs)
         if self.golden.outcome != "ok":
@@ -101,20 +76,18 @@ class BenchmarkRun:
         self.bec = run_bec(self.function)
 
     def run_plan(self, plan, golden=None, max_cycles=None):
-        """Execute *plan* through the campaign engine under
-        :func:`engine_config`.  With a bound result store
-        (``REPRO_STORE`` / :func:`set_store`) the plan is served from
-        the store when its cell is archived.
+        """Execute *plan* through the campaign engine.  With a bound
+        result store (``REPRO_STORE`` / :func:`set_store`) the plan is
+        served from the store when its cell is archived.
         """
         golden = self.golden if golden is None else golden
         runner = campaign_runner()
         if runner is not None:
             return runner.run(self.machine, plan, regs=self.regs,
-                              golden=golden, max_cycles=max_cycles,
-                              config=engine_config())
+                              golden=golden, max_cycles=max_cycles)
         engine = CampaignEngine(self.machine, plan, regs=self.regs,
                                 golden=golden, max_cycles=max_cycles)
-        return engine.run(engine_config())
+        return engine.run()
 
 
 _cache = {}

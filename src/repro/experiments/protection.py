@@ -20,8 +20,7 @@ first — and the diffusion-heavy crypto kernels (AES, SHA) need
 near-full duplication before their corruption chains are covered.
 """
 
-from repro.experiments.common import (benchmark_run, campaign_runner,
-                                      engine_config)
+from repro.experiments.common import benchmark_run, campaign_runner
 from repro.experiments.reporting import render_table
 from repro.harden.evaluate import ladder_comparison
 
@@ -42,7 +41,6 @@ def run_benchmark(name, target_runs=160, budgets=BUDGET_LADDER):
         run.function, run.golden, regs=run.regs,
         memory_image=run.program.memory_image, bec=run.bec,
         budgets=budgets, target_runs=target_runs,
-        config=engine_config(),
         coverage_target=COVERAGE_TARGET, runner=campaign_runner())
     frontier = comparison["frontier"]
     return {

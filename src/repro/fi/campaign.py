@@ -18,9 +18,9 @@ a BEC plan keeps only the emitting cycles of one compiled walk
 only when an entry is read, so a plan costs O(trace), not O(plan).
 :meth:`Plan.sample` draws a deterministic, cycle-stratified sample —
 how a campaign, a sweep cell or a benchmark is capped (statistical
-fault injection, Leveugle et al., DATE 2009); Table IV's
-:func:`repro.harden.evaluate.strided_plan` is an evenly strided slice
-instead.
+fault injection, Leveugle et al., DATE 2009); the protection
+experiment's :func:`repro.harden.evaluate.strided_plan` is an evenly
+strided slice instead.
 
 :class:`repro.fi.engine.CampaignEngine` executes a plan against the
 machine and classifies each run against the golden trace.

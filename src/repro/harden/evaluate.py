@@ -44,9 +44,9 @@ def strided_plan(function, golden, target_runs):
     """A deterministic, cycle-spanning stride of the inject-on-read
     population (at most roughly *target_runs* entries).
 
-    Table IV's cap, and the one cap that is not a
-    :meth:`repro.fi.campaign.Plan.sample`: the Table IV pins were
-    measured on this stride."""
+    The protection experiment's and ``bench_harden.py``'s cap, and the
+    one cap that is not a :meth:`repro.fi.campaign.Plan.sample`: their
+    recorded numbers were measured on this stride."""
     full = plan_inject_on_read(function, golden)
     stride = max(1, len(full) // max(target_runs, 1))
     return full[::stride]

@@ -11,7 +11,7 @@ construction.
 Layering (routers/handlers vs. services):
 
 * :mod:`repro.service.httpd` — transport: stdlib asyncio HTTP/1.1
-  server, router, SSE, and a dependency-free ASGI adapter.
+  server, router and SSE.
 * :mod:`repro.service.routes` — handlers: request/response shaping
   only.
 * :mod:`repro.service.jobs` — services: submission, status, report

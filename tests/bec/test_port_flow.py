@@ -114,6 +114,20 @@ class TestExtendedRules:
                             rules=RuleSet(extended=True))
         assert ("y", 0) not in extended
 
+    def test_never_raises_live_in_bits_on_a_kernel(self):
+        """The extensions only add masking and propagation facts, so on
+        a real kernel (RSA) they can only shrink the pruned plan."""
+        from repro.bec.analysis import run_bec
+        from repro.experiments.common import benchmark_run
+        from repro.fi.accounting import fault_injection_accounting
+
+        run = benchmark_run("RSA")
+        extended = run_bec(run.function, rules=RuleSet(extended=True))
+        base = fault_injection_accounting(run.function, run.golden, run.bec)
+        more = fault_injection_accounting(run.function, run.golden,
+                                          extended)
+        assert more["live_in_bits"] <= base["live_in_bits"]
+
 
 class TestSubExtendedSoundness:
     """The borrow-free sub rule must survive exhaustive validation."""

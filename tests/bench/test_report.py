@@ -39,7 +39,6 @@ def populated(tmp_path):
             {"program": "CRC32", "speedup": 8.1,
              "threaded_ips": 3.5e6},
         ],
-        "campaign": {"program": "CRC32", "compound_speedup": 15.0},
     })
     write(tmp_path / "BENCH_harden.json", {
         "programs": [

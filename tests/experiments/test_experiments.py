@@ -52,7 +52,8 @@ class TestTable3:
             assert row["live_in_bits"] <= row["live_in_values"]
             assert row["live_in_bits"] + row["masked_bits"] + \
                 row["inferrable_bits"] == row["live_in_values"]
-            assert row["pruned_percent"] >= 0
+            # Bit-level analysis saves runs on every kernel.
+            assert row["pruned_percent"] > 0, row["benchmark"]
 
     def test_shape_matches_paper(self, result):
         """Qualitative agreements with the paper's Table III analysis:
@@ -156,7 +157,9 @@ class TestTable2:
     @pytest.fixture(scope="class")
     def result(self):
         return table2.run_experiment(selection=(("RSA", 30),
-                                                ("adpcm_dec", 30)))
+                                                ("adpcm_enc", 30),
+                                                ("adpcm_dec", 30),
+                                                ("bitcount", 20)))
 
     def test_no_unsound_cases(self, result):
         assert result["total_unsound"] == 0

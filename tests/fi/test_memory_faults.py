@@ -4,6 +4,7 @@ import pytest
 
 from repro.bec.analysis import run_bec
 from repro.errors import SimulationError
+from repro.experiments.common import benchmark_run
 from repro.fi.campaign import EFFECT_MASKED
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine, MemoryInjection
@@ -148,6 +149,15 @@ class TestPopulationAndAccounting:
         assert accounting["masked_bits"] > 0
         assert accounting["inferrable_bits"] > 0
         assert 0 <= accounting["pruned_percent"] <= 100
+
+    def test_table_driven_kernel(self):
+        """Memory accounting on a registry kernel whose loads dominate
+        (CRC32's table lookups), not just the toy program."""
+        run = benchmark_run("CRC32")
+        accounting = memory_fault_accounting(run.function, run.golden,
+                                             run.bec)
+        assert accounting["live_in_values"] > 0
+        assert accounting["live_in_bits"] <= accounting["live_in_values"]
 
     def test_plan_sizes_match_accounting(self, prepared):
         function, machine, regs, golden, bec = prepared

@@ -132,6 +132,7 @@ class TestEstimateAVF:
                                seed=3, regs=regs, golden=golden)
         collapsed = estimate_avf(machine, function, golden, budget=300,
                                  seed=3, regs=regs, golden=golden, bec=bec)
+        assert uniform.simulator_runs <= 300
         assert collapsed.simulator_runs < uniform.simulator_runs
         assert abs(collapsed.avf - truth) < 0.1
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.bec.analysis import run_bec
 from repro.bench.programs import get_benchmark
+from repro.fi.accounting import fault_injection_accounting
 from repro.fi.machine import Machine
 from repro.ir.parser import parse_function
 from repro.minic.compiler import compile_source
@@ -84,3 +86,21 @@ def test_level2_does_not_grow_code(name):
     level2 = compile_source(spec.source, optimize=2)
     assert len(level2.function.instructions) <= \
         len(level1.function.instructions)
+
+
+def test_accounting_across_levels():
+    """On RSA, un-coalesced codegen copies inflate the value-level fault
+    space (level 0 has at least as many live-in values as level 1), and
+    the analysis stays applicable to strength-reduced level-2 code."""
+    spec = get_benchmark("RSA")
+    accounting = {}
+    for level in (0, 1, 2):
+        program = compile_source(spec.source, optimize=level)
+        machine = Machine(program.function,
+                          memory_image=program.memory_image)
+        golden = machine.run(regs=program.initial_regs(*spec.args))
+        accounting[level] = fault_injection_accounting(
+            program.function, golden, run_bec(program.function))
+    assert accounting[0]["live_in_values"] >= \
+        accounting[1]["live_in_values"]
+    assert accounting[2]["live_in_bits"] <= accounting[2]["live_in_values"]
